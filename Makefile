@@ -86,12 +86,14 @@ verify:
 calibrate:
 	$(GO) run ./cmd/specgen -verify -q
 
-# Fuzz the EP metric kernel and the curve solvers for a short burst
-# each (CI smoke; raise FUZZTIME locally for a real session).
+# Fuzz the EP metric kernel, the curve solvers and the demand-trace
+# CSV parser for a short burst each (CI smoke; raise FUZZTIME locally
+# for a real session).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCurveEP -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzIdleForEP -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) ./internal/trace
 
 # Serve the report/figures/metrics over HTTP from the snapshot cache.
 serve:

@@ -591,9 +591,10 @@ type (
 	IntensityProfile = trace.IntensityProfile
 	// IntensityConfig parameterizes the synthetic intensity shapes.
 	IntensityConfig = trace.IntensityConfig
-	// TraceHist2D is the joint demand × rate histogram of
-	// CompressTrace2D: trace-weighted cost/carbon under a time-varying
-	// rate becomes a double sum over its cells.
+	// TraceHist2D is the trace fold of CompressTrace2D: the weighted
+	// demand histogram, crossed with any rate signals so trace-weighted
+	// cost/carbon under a time-varying rate becomes a double sum over
+	// its cells.
 	TraceHist2D = trace.Hist2D
 	// OptimizeRegion is one candidate siting region — a tariff plus
 	// optional time-varying profiles; the optimizer scores every
@@ -624,11 +625,11 @@ func ReadIntensityCSV(r io.Reader, stepSeconds float64) (*IntensityProfile, erro
 	return trace.ReadIntensityCSV(r, stepSeconds)
 }
 
-// CompressTrace2D folds a demand trace jointly with one or more aligned
-// rate signals (see IntensityProfile.Align) into the demand × rate
-// histogram the carbon-aware optimizer scores against. With a constant
-// rate signal the demand marginals are bit-identical to the 1-D
-// compression.
+// CompressTrace2D folds a demand trace, jointly with zero or more
+// aligned rate signals (see IntensityProfile.Align), into the histogram
+// the composition optimizer scores against. With no rate signal it is
+// the plain demand histogram, and a constant rate signal leaves the
+// demand cells bit-identical to it.
 func CompressTrace2D(tr *Trace, bins, rateBins int, rateSets ...[]float64) (*TraceHist2D, error) {
 	return tr.Compress2D(bins, rateBins, rateSets...)
 }

@@ -249,6 +249,10 @@ func TestIntensitySummaries(t *testing.T) {
 }
 
 func TestBadArgs(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "demand.csv")
+	if err := os.WriteFile(csv, []byte("1e6\n2e6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
 		{"-policy", "nonsense"},
 		{"-format", "pdf"},
@@ -262,6 +266,13 @@ func TestBadArgs(t *testing.T) {
 		{"-intensity", "diurnal", "-intensity-step", "-60"},
 		{"-intensity", "diurnal", "-intensity-step", "700"},
 		{"-intensity", "diurnal", "-pue", "0.5"},
+		// A non-finite step is an error for every trace source, not a
+		// panic in the generator or a NaN energy total.
+		{"-step", "NaN"},
+		{"-step", "+Inf"},
+		{"-trace", "bursty", "-step", "NaN"},
+		{"-trace", csv, "-step", "NaN"},
+		{"-trace", csv, "-step", "+Inf"},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

@@ -178,8 +178,8 @@ func validate(cfg *Config) (*cluster.Evaluator, error) {
 	if cfg.Trace == nil || len(cfg.Trace.DemandOps) == 0 {
 		return nil, errors.New("fleetsim: empty trace")
 	}
-	if cfg.Trace.StepSeconds <= 0 {
-		return nil, fmt.Errorf("fleetsim: step %v", cfg.Trace.StepSeconds)
+	if s := cfg.Trace.StepSeconds; s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return nil, fmt.Errorf("fleetsim: step %v", s)
 	}
 	for i, d := range cfg.Trace.DemandOps {
 		if math.IsNaN(d) || math.IsInf(d, 0) {

@@ -225,6 +225,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"nil trace":      func(c *Config) { c.Trace = nil },
 		"empty trace":    func(c *Config) { c.Trace = &trace.Trace{StepSeconds: 60} },
 		"zero step":      func(c *Config) { c.Trace.StepSeconds = 0 },
+		"nan step":       func(c *Config) { c.Trace.StepSeconds = math.NaN() },
+		"inf step":       func(c *Config) { c.Trace.StepSeconds = math.Inf(1) },
 		"nan demand":     func(c *Config) { c.Trace.DemandOps[1] = math.NaN() },
 		"inf demand":     func(c *Config) { c.Trace.DemandOps[0] = math.Inf(1) },
 		"negative on":    func(c *Config) { c.Power.OnSeconds = -1 },

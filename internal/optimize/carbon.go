@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
-	"repro/internal/fleetsim"
-	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -68,12 +65,12 @@ func (e Embodied) perTraceKg(traceHours float64) (float64, error) {
 // ratePlan is one region's objective pricing, normalized: either a
 // static multiplier on IT kWh (rate() semantics, PUE folded in) or a
 // per-trace-step rate slice with PUE folded in, in which case rateSet
-// indexes the plan's column in the 2-D histogram's rate sets.
+// indexes the plan's column in the fold's rate sets.
 type ratePlan struct {
 	name    string
 	static  float64   // PUE × metric rate; used when rates is nil
 	rates   []float64 // PUE × metric rate per trace step
-	rateSet int       // column in hist2.Rates, -1 for static plans
+	rateSet int       // column in hist.Rates, -1 for static plans
 }
 
 // metricProfile picks the profile that prices the objective's metric.
@@ -89,9 +86,9 @@ func metricProfile(m Metric, carbon, price *trace.IntensityProfile) *trace.Inten
 }
 
 // newPlan normalizes one region into a ratePlan: a metric profile that
-// is absent or constant makes a static plan (bit-compatible with the
-// legacy single-rate path); a genuinely varying profile is aligned to
-// the trace with PUE pre-multiplied.
+// is absent or constant makes a static plan (priced bit-identically to
+// the static tariff, and adding no rate set to the fold); a genuinely
+// varying profile is aligned to the trace with PUE pre-multiplied.
 func newPlan(name string, o Objective, t trace.Tariff, prof *trace.IntensityProfile, tr *trace.Trace) (ratePlan, error) {
 	if err := t.Validate(); err != nil {
 		return ratePlan{}, err
@@ -123,7 +120,7 @@ func newPlan(name string, o Objective, t trace.Tariff, prof *trace.IntensityProf
 // newPlans expands the objective into one ratePlan per region (or a
 // single plan when no regions are configured), assigns rate-set
 // columns to the varying plans, and returns the plans plus the rate
-// sets to fold into the 2-D histogram.
+// sets to fold with the demand (none when every plan is static).
 func newPlans(cfg *Config) ([]ratePlan, [][]float64, error) {
 	o := cfg.Objective
 	metric := o.Metric
@@ -163,30 +160,15 @@ func newPlans(cfg *Config) ([]ratePlan, [][]float64, error) {
 	return plans, sets, nil
 }
 
-// staticRate collapses all-static plans to the cheapest region's
-// multiplier — with every plan static the argmin region is candidate-
-// independent, so the legacy single-rate arithmetic applies verbatim.
-func staticRate(plans []ratePlan) (float64, int) {
-	rate, reg := math.Inf(1), 0
-	for i, p := range plans {
-		if p.static < rate {
-			rate, reg = p.static, i
-		}
-	}
-	return rate, reg
-}
-
-// objectiveOf prices a candidate's fold accumulators — total joules
-// plus per-rate-set rate-weighted joules — under every plan and
-// returns the cheapest (objective value, plan index).
-func (sp *space) objectiveOf(joules float64, rj []float64) (float64, int) {
+// objectiveOf prices a candidate's fold accumulators — total kWh plus
+// per-rate-set rate-weighted joules — under every plan and returns the
+// cheapest (objective value, plan index); ties go to the first plan.
+func (sp *space) objectiveOf(kwh float64, rj []float64) (float64, int) {
 	obj, reg := math.Inf(1), 0
 	for i, p := range sp.plans {
-		var o float64
+		o := p.static * kwh
 		if p.rateSet >= 0 {
 			o = rj[p.rateSet] / 3.6e6
-		} else {
-			o = p.static * (joules / 3.6e6)
 		}
 		if o < obj {
 			obj, reg = o, i
@@ -205,145 +187,4 @@ func (sp *space) embodiedOf(counts []int) float64 {
 		kg += float64(c) * sp.embodiedKg[m]
 	}
 	return kg
-}
-
-// score2D evaluates one candidate against the 2-D demand×intensity
-// histogram: one power evaluation per occupied cell, with every
-// region's rate-weighted energy accumulated in the same pass. The
-// single-varying-plan case keeps the accumulator in a register.
-func (sp *space) score2D(id int64) (Candidate, bool) {
-	counts := make([]int, len(sp.models))
-	policy := sp.decode(id, counts)
-	if !sp.feasible(counts) {
-		return Candidate{}, false
-	}
-	groups := make([]placement.Group, 0, len(sp.models))
-	servers := 0
-	for m, c := range counts {
-		if c > 0 {
-			groups = append(groups, placement.Group{P: sp.models[m], Count: c})
-			servers += c
-		}
-	}
-	ev, err := cluster.NewGroupedEvaluator(groups, policy)
-	if err != nil {
-		return Candidate{}, false
-	}
-	sc := ev.NewScratch()
-	h := sp.hist2
-	var joules float64
-	rj := sp.rjScratch()
-	if len(rj) == 1 {
-		rates := h.Rates[0]
-		var rj0 float64
-		for c, d := range h.BinOps {
-			e := h.Weight[c] * ev.PowerAt(d, sc) * h.StepSeconds
-			joules += e
-			rj0 += rates[c] * e
-		}
-		rj[0] = rj0
-	} else {
-		for c, d := range h.BinOps {
-			e := h.Weight[c] * ev.PowerAt(d, sc) * h.StepSeconds
-			joules += e
-			for s := range rj {
-				rj[s] += h.Rates[s][c] * e
-			}
-		}
-	}
-	obj, reg := sp.objectiveOf(joules, rj)
-	return Candidate{
-		ID:          id,
-		Counts:      counts,
-		Policy:      policy,
-		Servers:     servers,
-		CapacityOps: ev.Capacity(),
-		EnergyKWh:   joules / 3.6e6,
-		Objective:   obj + sp.embodiedOf(counts),
-		Region:      sp.plans[reg].name,
-	}, true
-}
-
-// rjScratch returns a zeroed per-rate-set accumulator. score2D runs on
-// many goroutines; the slice is small and candidate-local.
-func (sp *space) rjScratch() []float64 {
-	return make([]float64, len(sp.hist2.Rates))
-}
-
-// lowerBound2D extends the admissible bound to the 2-D fold. Per cell
-// the fleet draws at least max(served/bestEE, idleW) ≤ PowerAt(d̄), so
-// the cell's bound energy is ≤ its score energy; non-negative rates
-// preserve the inequality per rate set, the min over plans of the
-// per-plan bounds is ≤ the min over plans of the per-plan scores, and
-// the embodied term — identical on both sides — keeps the total
-// admissible. The 1e-9 haircut absorbs float rounding exactly as in
-// the 1-D bound.
-func (sp *space) lowerBound2D(counts []int, policy cluster.Policy) float64 {
-	bestEE := math.Inf(-1)
-	idleW := 0.0
-	for m, c := range counts {
-		if c == 0 {
-			continue
-		}
-		bestEE = math.Max(bestEE, sp.lbEE[m])
-		idleW += float64(c) * sp.lbIdleW[m]
-	}
-	if policy == cluster.PolicyPackPowerOff {
-		idleW = 0
-	}
-	cap := sp.capacity(counts)
-	h := sp.hist2
-	var joules float64
-	rj := sp.rjScratch()
-	for c, d := range h.BinOps {
-		served := math.Min(d, cap)
-		w := math.Max(served/bestEE, idleW)
-		e := h.Weight[c] * w * h.StepSeconds
-		joules += e
-		for s := range rj {
-			rj[s] += h.Rates[s][c] * e
-		}
-	}
-	lb, _ := sp.objectiveOf(joules, rj)
-	return lb*(1-1e-9) + sp.embodiedOf(counts)
-}
-
-// replay2D runs the candidate through the full fleet simulation once,
-// accumulating every varying plan's exact per-step billing through the
-// simulator's ordered Sink, and prices the exact objective as the
-// cheapest region. Sink emission is in step order at any worker count,
-// so the exact billing is deterministic.
-func (sp *space) replay2D(c Candidate) (Candidate, error) {
-	groups := make([]placement.Group, 0, len(c.Counts))
-	for m, n := range c.Counts {
-		if n > 0 {
-			groups = append(groups, placement.Group{P: sp.models[m], Count: n})
-		}
-	}
-	rj := make([]float64, len(sp.hist2.Rates))
-	res, err := fleetsim.Run(fleetsim.Config{
-		Groups: groups,
-		Policy: c.Policy,
-		Trace:  sp.cfg.Trace,
-		Power:  sp.cfg.Power,
-		Seed:   sp.cfg.Seed,
-		Sink: func(s fleetsim.StepStats) error {
-			for _, p := range sp.plans {
-				if p.rateSet >= 0 {
-					rj[p.rateSet] += p.rates[s.Step] * s.EnergyJ
-				}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return Candidate{}, err
-	}
-	joules := res.EnergyKWh * 3.6e6
-	obj, reg := sp.objectiveOf(joules, rj)
-	c.ExactEnergyKWh = res.EnergyKWh
-	c.ExactObjective = obj + sp.embodiedOf(c.Counts)
-	c.Region = sp.plans[reg].name
-	c.Exact = true
-	return c, nil
 }

@@ -30,8 +30,9 @@ func carbonBenchConfig(b *testing.B) Config {
 }
 
 // BenchmarkCarbonStatic1D is the baseline: the same space and carbon
-// objective priced at the static tariff, scored on the 1-D histogram.
-// The acceptance bar is BenchmarkCarbonFold2D ≤ 2× this.
+// objective priced at the static tariff, so the fold carries no rate
+// set and is the plain demand histogram. The acceptance bar is
+// BenchmarkCarbonFold2D ≤ 2× this.
 func BenchmarkCarbonStatic1D(b *testing.B) {
 	cfg := carbonBenchConfig(b)
 	cfg.Objective.Carbon = nil

@@ -106,7 +106,7 @@ func TestCarbonLowerBoundAdmissible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sp.varying {
+	if !sp.varying() {
 		t.Fatal("expected a varying space")
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -339,6 +339,10 @@ func TestCarbonValidation(t *testing.T) {
 		{"bad rate bins", func(c *Config) {
 			c.Objective = Objective{Metric: MetricCarbon, Carbon: prof()}
 			c.RateBins = -2
+		}, "RateBins"},
+		{"bad rate bins on a static objective", func(c *Config) {
+			c.Objective = Objective{Metric: MetricCost, Tariff: trace.Tariff{USDPerKWh: 0.1}}
+			c.RateBins = -1
 		}, "RateBins"},
 	}
 	for _, tc := range cases {

@@ -10,10 +10,12 @@
 //     O(models) and evaluates demand in O(log models), never
 //     expanding the fleet (Float64bits-identical to expanding it).
 //  2. Trace compression — the demand trace folds once into a weighted
-//     demand histogram (trace.Compress), so steady-state scoring is
-//     O(bins) per candidate instead of O(steps). Exact fleetsim
-//     replay, with transition energy and hysteresis, is reserved for
-//     the final top-k.
+//     demand histogram (trace.Compress2D), crossed with one rate set
+//     per time-varying price or intensity plan and with none for a
+//     static objective, so steady-state scoring is O(cells) per
+//     candidate instead of O(steps). Exact fleetsim replay, with
+//     transition energy and hysteresis, is reserved for the final
+//     top-k.
 //  3. Pruned parallel search — candidates stream through internal/par
 //     in fixed-size segments with deterministic tie-breaking, and an
 //     admissible idle-power/best-efficiency lower bound skips

@@ -34,12 +34,12 @@ type Config struct {
 	MaxPerModel, CountStep int
 	// Bins is the demand-histogram resolution (0 = 128).
 	Bins int
-	// RateBins is the intensity-axis resolution of the 2-D
-	// demand×intensity histogram (0 = 4); only used when the objective
-	// carries a time-varying profile. For smooth diurnal-scale
-	// profiles the demand axis dominates the fold error, so a few rate
-	// bins suffice (raising this past ~8 buys accuracy in the fifth
-	// decimal at linear scoring cost).
+	// RateBins is the intensity-axis resolution of the demand×intensity
+	// fold (0 = 4). It is validated on every objective but only shapes
+	// the fold when the objective carries a time-varying profile. For
+	// smooth diurnal-scale profiles the demand axis dominates the fold
+	// error, so a few rate bins suffice (raising this past ~8 buys
+	// accuracy in the fifth decimal at linear scoring cost).
 	RateBins int
 	// Embodied, when set, must parallel Models: each model's embodied-
 	// carbon amortization, charged per server on the carbon objective.
@@ -102,11 +102,11 @@ type Result struct {
 	// candidates; Exhaustive reports full enumeration (vs beam).
 	Evaluated, Pruned, Infeasible int64
 	Exhaustive                    bool
-	// Bins is the histogram resolution used for scoring.
+	// Bins is the number of occupied demand bins in the trace fold.
 	Bins int
-	// Cells is the occupied cell count of the 2-D demand×intensity
-	// histogram; zero when the objective is static and scoring used the
-	// 1-D path.
+	// Cells is the occupied demand×intensity cell count of the fold;
+	// zero when every plan is static, since the fold is then the plain
+	// demand histogram with one cell per bin.
 	Cells int `json:",omitempty"`
 }
 
@@ -121,20 +121,14 @@ type space struct {
 	cfg      Config
 	models   []*placement.Profile
 	policies []cluster.Policy
-	hist     *trace.Hist
-	rate     float64
-	// plans is the normalized per-region pricing; hist2 is the 2-D
-	// demand×intensity fold, built only when some plan varies in time
-	// (varying). Static objectives keep the legacy 1-D arithmetic
-	// verbatim — bitwise-identical results. embodiedKg is each model's
-	// per-server amortized embodied charge over the trace window, nil
-	// when unused; staticReg is the argmin region of an all-static
-	// multi-region objective.
+	// hist is the trace fold: the plain demand histogram when every
+	// plan is static, crossed with one rate set per time-varying plan
+	// otherwise. plans is the normalized per-region pricing;
+	// embodiedKg is each model's per-server amortized embodied charge
+	// over the trace window, nil when unused.
+	hist       *trace.Hist2D
 	plans      []ratePlan
-	hist2      *trace.Hist2D
-	varying    bool
 	embodiedKg []float64
-	staticReg  int
 	// countOf maps a digit to a server count; radix is the digit count.
 	step, radix int
 	// perOps is each model's capacity; lbEE / lbIdleW are the
@@ -156,9 +150,9 @@ func OptimizeComposition(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{SpaceSize: sp.size, Bins: len(sp.hist.BinOps)}
-	if sp.hist2 != nil {
-		res.Cells = sp.hist2.Cells()
+	res := Result{SpaceSize: sp.size, Bins: sp.hist.Bins}
+	if sp.varying() {
+		res.Cells = sp.hist.Cells()
 	}
 
 	// Incumbent phase: minimal feasible homogeneous fleets seed the
@@ -264,7 +258,21 @@ func newSpace(cfg Config) (*space, error) {
 	if bins == 0 {
 		bins = 128
 	}
-	hist, err := cfg.Trace.Compress(bins)
+	rateBins := cfg.RateBins
+	if rateBins == 0 {
+		rateBins = 4
+	}
+	if rateBins < 1 {
+		return nil, fmt.Errorf("optimize: invalid RateBins %d", cfg.RateBins)
+	}
+	// Normalize the objective into per-region rate plans and fold the
+	// trace once: every time-varying plan contributes a rate set, and
+	// with none the fold is the plain demand histogram.
+	plans, sets, err := newPlans(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	hist, err := cfg.Trace.Compress2D(bins, rateBins, sets...)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +313,7 @@ func newSpace(cfg Config) (*space, error) {
 		models:   cfg.Models,
 		policies: policies,
 		hist:     hist,
-		rate:     cfg.Objective.rate(),
+		plans:    plans,
 		step:     step,
 		radix:    maxPer/step + 1,
 		topK:     topK,
@@ -336,32 +344,6 @@ func newSpace(cfg Config) (*space, error) {
 			break
 		}
 		sp.size *= int64(sp.radix)
-	}
-
-	// Normalize the objective into per-region rate plans. All-static
-	// plans collapse to the legacy single-rate arithmetic (sp.rate);
-	// a time-varying plan switches scoring to the 2-D fold.
-	plans, sets, err := newPlans(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	sp.plans = plans
-	if len(sets) > 0 {
-		rateBins := cfg.RateBins
-		if rateBins == 0 {
-			rateBins = 4
-		}
-		if rateBins < 1 {
-			return nil, fmt.Errorf("optimize: invalid RateBins %d", cfg.RateBins)
-		}
-		hist2, err := cfg.Trace.Compress2D(bins, rateBins, sets...)
-		if err != nil {
-			return nil, err
-		}
-		sp.hist2 = hist2
-		sp.varying = true
-	} else {
-		sp.rate, sp.staticReg = staticRate(plans)
 	}
 
 	if len(cfg.Embodied) > 0 {
@@ -445,17 +427,23 @@ func (sp *space) feasible(counts []int) bool {
 	return n > 0 && sp.capacity(counts) >= sp.hist.PeakOps
 }
 
-// lowerBound is the admissible bound: at every histogram bin the fleet
+// varying reports whether some plan is time-varying, i.e. whether the
+// fold carries rate sets.
+func (sp *space) varying() bool {
+	return len(sp.hist.Rates) > 0
+}
+
+// lowerBound is the admissible bound: in every fold cell the fleet
 // draws at least served/bestEE (nobody converts watts to ops better
 // than the best model's peak efficiency) and, for policies that keep
 // members powered, at least the fleet's minimum aggregate draw. Both
-// bounds hold knot-exactly for piecewise-linear curves; the 1e-9
-// haircut absorbs float rounding so a bound can never cross the score
-// it brackets.
+// bounds hold knot-exactly for piecewise-linear curves, so each cell's
+// bound energy is at most its score energy; non-negative rates keep
+// that per rate set, the min over plans of the per-plan bounds is at
+// most the min over plans of the per-plan scores, and the embodied
+// term is identical on both sides. The 1e-9 haircut absorbs float
+// rounding so a bound can never cross the score it brackets.
 func (sp *space) lowerBound(counts []int, policy cluster.Policy) float64 {
-	if sp.varying {
-		return sp.lowerBound2D(counts, policy)
-	}
 	bestEE := math.Inf(-1)
 	idleW := 0.0
 	for m, c := range counts {
@@ -469,22 +457,27 @@ func (sp *space) lowerBound(counts []int, policy cluster.Policy) float64 {
 		idleW = 0
 	}
 	cap := sp.capacity(counts)
+	h := sp.hist
 	var joules float64
-	for b, d := range sp.hist.BinOps {
+	rj := make([]float64, len(h.Rates))
+	for c, d := range h.BinOps {
 		served := math.Min(d, cap)
 		w := math.Max(served/bestEE, idleW)
-		joules += sp.hist.Weight[b] * w * sp.hist.StepSeconds
+		e := h.Weight[c] * w * h.StepSeconds
+		joules += e
+		for s, rates := range h.Rates {
+			rj[s] += rates[c] * e
+		}
 	}
-	return sp.rate*(joules/3.6e6)*(1-1e-9) + sp.embodiedOf(counts)
+	lb, _ := sp.objectiveOf(joules/3.6e6, rj)
+	return lb*(1-1e-9) + sp.embodiedOf(counts)
 }
 
-// score evaluates one candidate against the demand histogram: a
-// grouped evaluator over the multiset, one power evaluation per bin.
-// Returns ok=false for infeasible candidates.
+// score evaluates one candidate against the trace fold: a grouped
+// evaluator over the multiset, one power evaluation per cell, with
+// every varying plan's rate-weighted energy accumulated in the same
+// pass. Returns ok=false for infeasible candidates.
 func (sp *space) score(id int64) (Candidate, bool) {
-	if sp.varying {
-		return sp.score2D(id)
-	}
 	counts := make([]int, len(sp.models))
 	policy := sp.decode(id, counts)
 	if !sp.feasible(counts) {
@@ -503,24 +496,40 @@ func (sp *space) score(id int64) (Candidate, bool) {
 		return Candidate{}, false
 	}
 	sc := ev.NewScratch()
+	h := sp.hist
 	var joules float64
-	for b, d := range sp.hist.BinOps {
-		joules += sp.hist.Weight[b] * ev.PowerAt(d, sc) * sp.hist.StepSeconds
+	rj := make([]float64, len(h.Rates))
+	if len(rj) == 1 {
+		// One varying plan, the common time-varying case, keeps its
+		// accumulator in a register.
+		rates, rj0 := h.Rates[0], 0.0
+		for c, d := range h.BinOps {
+			e := h.Weight[c] * ev.PowerAt(d, sc) * h.StepSeconds
+			joules += e
+			rj0 += rates[c] * e
+		}
+		rj[0] = rj0
+	} else {
+		for c, d := range h.BinOps {
+			e := h.Weight[c] * ev.PowerAt(d, sc) * h.StepSeconds
+			joules += e
+			for s, rates := range h.Rates {
+				rj[s] += rates[c] * e
+			}
+		}
 	}
 	kwh := joules / 3.6e6
-	c := Candidate{
+	obj, reg := sp.objectiveOf(kwh, rj)
+	return Candidate{
 		ID:          id,
 		Counts:      counts,
 		Policy:      policy,
 		Servers:     servers,
 		CapacityOps: ev.Capacity(),
 		EnergyKWh:   kwh,
-		Objective:   sp.rate*kwh + sp.embodiedOf(counts),
-	}
-	if len(sp.plans) > 1 {
-		c.Region = sp.plans[sp.staticReg].name
-	}
-	return c, true
+		Objective:   obj + sp.embodiedOf(counts),
+		Region:      sp.plans[reg].name,
+	}, true
 }
 
 // incumbents lists the minimal feasible homogeneous fleet of every
@@ -614,30 +623,45 @@ func pushTop(top []Candidate, c Candidate, k int) []Candidate {
 	return top
 }
 
-// replay runs the candidate through the full fleet simulation and
-// prices the exact energy.
+// replay runs the candidate through the full fleet simulation once,
+// accumulating every varying plan's exact per-step billing through the
+// simulator's ordered Sink, and prices the exact objective as the
+// cheapest region. Sink emission is in step order at any worker count,
+// so the exact billing is deterministic; an all-static objective needs
+// no Sink.
 func (sp *space) replay(c Candidate) (Candidate, error) {
-	if sp.varying {
-		return sp.replay2D(c)
-	}
 	groups := make([]placement.Group, 0, len(c.Counts))
 	for m, n := range c.Counts {
 		if n > 0 {
 			groups = append(groups, placement.Group{P: sp.models[m], Count: n})
 		}
 	}
-	res, err := fleetsim.Run(fleetsim.Config{
+	cfg := fleetsim.Config{
 		Groups: groups,
 		Policy: c.Policy,
 		Trace:  sp.cfg.Trace,
 		Power:  sp.cfg.Power,
 		Seed:   sp.cfg.Seed,
-	})
+	}
+	rj := make([]float64, len(sp.hist.Rates))
+	if sp.varying() {
+		cfg.Sink = func(s fleetsim.StepStats) error {
+			for _, p := range sp.plans {
+				if p.rateSet >= 0 {
+					rj[p.rateSet] += p.rates[s.Step] * s.EnergyJ
+				}
+			}
+			return nil
+		}
+	}
+	res, err := fleetsim.Run(cfg)
 	if err != nil {
 		return Candidate{}, err
 	}
+	obj, reg := sp.objectiveOf(res.EnergyKWh, rj)
 	c.ExactEnergyKWh = res.EnergyKWh
-	c.ExactObjective = sp.rate*res.EnergyKWh + sp.embodiedOf(c.Counts)
+	c.ExactObjective = obj + sp.embodiedOf(c.Counts)
+	c.Region = sp.plans[reg].name
 	c.Exact = true
 	return c, nil
 }

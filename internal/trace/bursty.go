@@ -50,6 +50,9 @@ func Bursty(cfg BurstyConfig) (*Trace, error) {
 	if step <= 0 {
 		step = 300
 	}
+	if !validStep(step) {
+		return nil, fmt.Errorf("trace: step %v s", cfg.StepSeconds)
+	}
 	perDay := cfg.BurstsPerDay
 	if perDay == 0 {
 		perDay = 8
@@ -102,7 +105,7 @@ func Bursty(cfg BurstyConfig) (*Trace, error) {
 // header and skipped. Demand values must be finite and non-negative.
 // stepSeconds is the sampling period the caller assigns to the trace.
 func ReadCSV(r io.Reader, stepSeconds float64) (*Trace, error) {
-	if stepSeconds <= 0 {
+	if !validStep(stepSeconds) {
 		return nil, fmt.Errorf("trace: step %v", stepSeconds)
 	}
 	out := &Trace{StepSeconds: stepSeconds}

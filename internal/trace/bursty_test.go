@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,8 @@ func TestBurstyRejects(t *testing.T) {
 		{Steps: 10, BaseOps: 0},
 		{Steps: 10, BaseOps: 1, BurstsPerDay: -1},
 		{Steps: 10, BaseOps: 1, DecaySeconds: -5},
+		{Steps: 10, BaseOps: 1, StepSeconds: math.NaN()},
+		{Steps: 10, BaseOps: 1, StepSeconds: math.Inf(1)},
 	}
 	for _, cfg := range cases {
 		if _, err := Bursty(cfg); err == nil {
@@ -98,7 +101,49 @@ func TestReadCSVRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := ReadCSV(strings.NewReader("100\n"), 0); err == nil {
-		t.Error("zero step accepted")
+	for _, step := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := ReadCSV(strings.NewReader("100\n"), step); err == nil {
+			t.Errorf("step %v accepted", step)
+		}
 	}
+}
+
+func FuzzReadTraceCSV(f *testing.F) {
+	for _, in := range []string{
+		"100\n200.5\n0\n", "0,100\n60,200\n", "time_s,demand_ops\n0,100\n60,200\n",
+		"# demand\n100\n\n200\n", "1e6\n2.5e5\n",
+		"", "demand\n", "a\nb\n100\n", "100\n-5\n", "100\nNaN\n", "100\n+Inf\n",
+		"1,2,3\n", "100\noops\n", "100\n200\nxyz\n",
+	} {
+		f.Add(in, 60.0)
+	}
+	f.Add("100\n", 0.0)
+	f.Add("100\n", math.NaN())
+	f.Fuzz(func(t *testing.T, in string, step float64) {
+		tr, err := ReadCSV(strings.NewReader(in), step)
+		if err != nil {
+			return
+		}
+		if !validStep(tr.StepSeconds) {
+			t.Fatalf("accepted step %v", tr.StepSeconds)
+		}
+		for i, d := range tr.DemandOps {
+			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+				t.Fatalf("accepted demand[%d] = %v", i, d)
+			}
+		}
+		// Any accepted trace must fold; with no rate sets every step
+		// lands in exactly one cell.
+		h, err := tr.Compress2D(16, 4)
+		if err != nil {
+			t.Fatalf("accepted trace fails to fold: %v", err)
+		}
+		var steps float64
+		for _, w := range h.Weight {
+			steps += w
+		}
+		if steps != float64(len(tr.DemandOps)) {
+			t.Fatalf("fold weights sum to %v, want %d steps", steps, len(tr.DemandOps))
+		}
+	})
 }

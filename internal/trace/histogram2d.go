@@ -5,44 +5,49 @@ import (
 	"math"
 )
 
-// Hist2D is a demand trace folded jointly with one or more aligned
-// rate signals into a (demand-bin × rate-bin) histogram: the trace
-// compression layer of the carbon-aware optimizer. Under a
-// time-varying tariff the 1-D demand histogram is not enough — it
-// collapses the time axis, and billed energy is a demand×rate product
-// whose covariance the 1-D fold cannot see. The 2-D fold keys each
-// step by (demand bin, rate bin) and keeps per-cell conditional means
-// of both demand and every rate signal, so a candidate's trace-weighted
-// carbon or cost is a double sum over occupied cells — still O(cells)
-// power evaluations, not O(steps) — and the residual error is bounded
-// by the within-cell spans in both dimensions.
+// Hist2D is a demand trace folded into a weighted histogram: the trace
+// compression layer of the composition optimizer. Steady-state fleet
+// power depends on instantaneous demand only, so scoring a candidate
+// fleet needs one power evaluation per occupied cell instead of one
+// per step — ~70× fewer for a 1-minute week at 128 bins.
 //
-// Cells are binned by the FIRST rate set (the objective's primary
-// signal); additional sets (e.g. a price profile alongside carbon, or
-// other regions' scaled copies of the same shape) ride along with
-// per-cell conditional means of their own. Signals that share the
-// primary's shape are constant within its rate bins, so their fold is
-// as tight as the primary's.
+// With no rate sets the fold is the plain demand histogram, one cell
+// per occupied demand bin. A time-varying tariff bills a demand×rate
+// product whose covariance that fold cannot see, so rate sets split
+// every demand bin by rate: cells are binned by the FIRST set (the
+// objective's primary signal), and every set — e.g. other regions'
+// scaled copies of the same shape — keeps its per-cell conditional
+// mean, so trace-weighted carbon or cost is a double sum over cells.
 //
-// Determinism contract: accumulation is a single pass in step order
-// with the same `sum += d; count++` arithmetic as Compress, and cells
-// are emitted demand-ascending then rate-ascending. When every rate is
-// bit-identical (a constant profile) each demand bin occupies exactly
-// one cell and BinOps/Weight are Float64bits-identical to the 1-D
-// Compress of the same trace — the pinned regression that lets the
-// optimizer fall back to the static path exactly.
+// Each cell carries the MEAN demand of its steps (not the bin center),
+// so the fold preserves total offered load exactly and the energy
+// estimate is exact for any fleet whose power is linear across each
+// cell's span; the residual error is bounded by the within-cell spans
+// and shrinks as bins grow. Transitions and hysteresis are out of
+// scope — the optimizer replays its top-k through fleetsim for those.
+//
+// Determinism contract: accumulation is a single pass in step order,
+// and cells are emitted demand-ascending then rate-ascending. When
+// every rate is bit-identical (a constant profile) each demand bin
+// occupies exactly one cell, so BinOps/Weight are Float64bits-identical
+// to the fold of the same trace with no rate sets.
 type Hist2D struct {
 	// StepSeconds is the sampling period of the folded trace.
 	StepSeconds float64
 	// Steps is the total number of trace steps (the sum of Weight).
 	Steps int
+	// Bins is the number of occupied demand bins; it equals Cells()
+	// when no rate set was folded.
+	Bins int
 	// BinOps is the mean demand of each occupied cell.
 	BinOps []float64
 	// Weight is the step count of each occupied cell.
 	Weight []float64
-	// Rates[s][c] is rate set s's mean rate within cell c.
+	// Rates[s][c] is rate set s's mean rate within cell c; empty when
+	// no rate set was folded.
 	Rates [][]float64
-	// PeakOps and MinOps are the exact trace extremes.
+	// PeakOps and MinOps are the exact trace extremes — feasibility
+	// checks (capacity ≥ peak) must not depend on bin resolution.
 	PeakOps, MinOps float64
 	// MeanOps is the exact trace mean.
 	MeanOps float64
@@ -58,11 +63,12 @@ func (h *Hist2D) Cells() int {
 	return len(h.BinOps)
 }
 
-// Compress2D folds the trace jointly with aligned per-step rate
-// signals into at most bins×rateBins cells: equi-width demand bins
-// over [min, max] demand crossed with equi-width rate bins over the
-// FIRST signal's [min, max] rate. Every rate set must be exactly one
-// rate per trace step (use IntensityProfile.Align) and finite and
+// Compress2D folds the trace into at most bins equi-width demand bins
+// over [min, max] demand, each crossed with rateBins equi-width rate
+// bins over the FIRST rate set's [min, max] rate. With no rate sets
+// the fold is the plain demand histogram and rateBins, though still
+// validated, plays no part. Every rate set must be exactly one rate
+// per trace step (use IntensityProfile.Align) and finite and
 // non-negative — violations are typed *RateError / *AlignError. Empty
 // cells are dropped. The fold is a single deterministic pass;
 // identical inputs produce identical histograms.
@@ -73,13 +79,10 @@ func (t *Trace) Compress2D(bins, rateBins int, rateSets ...[]float64) (*Hist2D, 
 	if rateBins < 1 {
 		return nil, fmt.Errorf("trace: invalid rate bin count %d", rateBins)
 	}
-	if len(rateSets) == 0 {
-		return nil, fmt.Errorf("trace: Compress2D needs at least one rate set")
-	}
 	if len(t.DemandOps) == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
-	if t.StepSeconds <= 0 {
+	if !validStep(t.StepSeconds) {
 		return nil, fmt.Errorf("trace: invalid step %v s", t.StepSeconds)
 	}
 	steps := len(t.DemandOps)
@@ -102,17 +105,25 @@ func (t *Trace) Compress2D(bins, rateBins int, rateSets ...[]float64) (*Hist2D, 
 		lo = math.Min(lo, d)
 		hi = math.Max(hi, d)
 	}
-	rlo, rhi := math.Inf(1), math.Inf(-1)
-	for _, r := range rateSets[0] {
-		rlo = math.Min(rlo, r)
-		rhi = math.Max(rhi, r)
-	}
 	width := (hi - lo) / float64(bins)
-	rwidth := (rhi - rlo) / float64(rateBins)
+	var primary []float64
+	var rlo, rwidth float64
+	if len(rateSets) == 0 {
+		rateBins = 1 // every step lands in rate bin 0
+	} else {
+		primary = rateSets[0]
+		rlo = math.Inf(1)
+		rhi := math.Inf(-1)
+		for _, r := range primary {
+			rlo = math.Min(rlo, r)
+			rhi = math.Max(rhi, r)
+		}
+		rwidth = (rhi - rlo) / float64(rateBins)
+	}
 
 	// Dense (demand bin)*(rate bin) accumulators, demand-major so the
 	// constant-profile case (every step in rate bin 0) touches exactly
-	// the same cells in the same order as the 1-D Compress.
+	// the same cells in the same order as the fold with no rate sets.
 	cells := bins * rateBins
 	sum := make([]float64, cells)
 	count := make([]float64, cells)
@@ -131,7 +142,7 @@ func (t *Trace) Compress2D(bins, rateBins int, rateSets ...[]float64) (*Hist2D, 
 		}
 		rb := 0
 		if rwidth > 0 {
-			rb = int((rateSets[0][i] - rlo) / rwidth)
+			rb = int((primary[i] - rlo) / rwidth)
 			if rb >= rateBins {
 				rb = rateBins - 1
 			}
@@ -152,9 +163,14 @@ func (t *Trace) Compress2D(bins, rateBins int, rateSets ...[]float64) (*Hist2D, 
 		MinOps:      lo,
 		MeanOps:     total / float64(steps),
 	}
+	lastBin := -1
 	for c := 0; c < cells; c++ {
 		if count[c] == 0 {
 			continue
+		}
+		if b := c / rateBins; b != lastBin {
+			h.Bins++
+			lastBin = b
 		}
 		h.BinOps = append(h.BinOps, sum[c]/count[c])
 		h.Weight = append(h.Weight, count[c])

@@ -16,12 +16,15 @@ func diurnalForHist(t *testing.T, days int) *Trace {
 
 func TestCompressPreservesMassAndExtremes(t *testing.T) {
 	tr := diurnalForHist(t, 3)
-	h, err := tr.Compress(64)
+	h, err := tr.Compress2D(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Steps != len(tr.DemandOps) || h.StepSeconds != tr.StepSeconds {
 		t.Fatalf("shape: %d steps @ %v s", h.Steps, h.StepSeconds)
+	}
+	if len(h.Rates) != 0 || h.Bins != h.Cells() {
+		t.Fatalf("demand-only fold: %d rate sets, %d bins for %d cells", len(h.Rates), h.Bins, h.Cells())
 	}
 	var wsum, wdemand float64
 	for i, w := range h.Weight {
@@ -51,26 +54,28 @@ func TestCompressPreservesMassAndExtremes(t *testing.T) {
 func TestCompressDegenerateAndErrors(t *testing.T) {
 	// A constant trace collapses to one bin regardless of bin count.
 	flat := &Trace{StepSeconds: 60, DemandOps: []float64{7, 7, 7, 7}}
-	h, err := flat.Compress(32)
+	h, err := flat.Compress2D(32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.BinOps) != 1 || h.BinOps[0] != 7 || h.Weight[0] != 4 {
+	if len(h.BinOps) != 1 || h.BinOps[0] != 7 || h.Weight[0] != 4 || h.Bins != 1 {
 		t.Fatalf("flat trace: %+v", h)
 	}
-	if _, err := flat.Compress(0); err == nil {
+	if _, err := flat.Compress2D(0, 1); err == nil {
 		t.Error("bins=0 accepted")
 	}
 	empty := &Trace{StepSeconds: 60}
-	if _, err := empty.Compress(8); err == nil {
+	if _, err := empty.Compress2D(8, 1); err == nil {
 		t.Error("empty trace accepted")
 	}
-	bad := &Trace{StepSeconds: 0, DemandOps: []float64{1}}
-	if _, err := bad.Compress(8); err == nil {
-		t.Error("zero step accepted")
+	for _, step := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad := &Trace{StepSeconds: step, DemandOps: []float64{1}}
+		if _, err := bad.Compress2D(8, 1); err == nil {
+			t.Errorf("step %v accepted", step)
+		}
 	}
 	nan := &Trace{StepSeconds: 60, DemandOps: []float64{1, math.NaN()}}
-	if _, err := nan.Compress(8); err == nil {
+	if _, err := nan.Compress2D(8, 1); err == nil {
 		t.Error("NaN demand accepted")
 	}
 }

@@ -73,7 +73,7 @@ func (p *IntensityProfile) Validate() error {
 	if p == nil || len(p.Rates) == 0 {
 		return &AlignError{Reason: "empty profile"}
 	}
-	if p.StepSeconds <= 0 || math.IsNaN(p.StepSeconds) || math.IsInf(p.StepSeconds, 0) {
+	if !validStep(p.StepSeconds) {
 		return &AlignError{ProfileStep: p.StepSeconds, Reason: "non-positive profile step"}
 	}
 	for i, r := range p.Rates {
@@ -103,7 +103,7 @@ func (p *IntensityProfile) Mean() float64 {
 
 // Constant reports whether every rate is bit-identical, and that rate.
 // A constant profile is indistinguishable from a static tariff rate;
-// the optimizer uses this to fall back to the exact 1-D histogram path.
+// the optimizer prices it as one and folds no rate set for it.
 func (p *IntensityProfile) Constant() (float64, bool) {
 	if len(p.Rates) == 0 {
 		return 0, false
@@ -152,7 +152,7 @@ func (p *IntensityProfile) Align(steps int, stepSeconds float64) ([]float64, err
 	if steps <= 0 {
 		return nil, &AlignError{ProfileStep: p.StepSeconds, TraceStep: stepSeconds, Reason: "no trace steps"}
 	}
-	if stepSeconds <= 0 || math.IsNaN(stepSeconds) || math.IsInf(stepSeconds, 0) {
+	if !validStep(stepSeconds) {
 		return nil, &AlignError{ProfileStep: p.StepSeconds, TraceStep: stepSeconds, Reason: "non-positive trace step"}
 	}
 	out := make([]float64, steps)
@@ -318,7 +318,7 @@ func shapeProfile(name string, c IntensityConfig, shape func(hour float64) float
 // non-negative — violations are *RateError — and stepSeconds is the
 // sampling period the caller assigns to the profile.
 func ReadIntensityCSV(r io.Reader, stepSeconds float64) (*IntensityProfile, error) {
-	if stepSeconds <= 0 || math.IsNaN(stepSeconds) || math.IsInf(stepSeconds, 0) {
+	if !validStep(stepSeconds) {
 		return nil, &AlignError{ProfileStep: stepSeconds, Reason: "non-positive profile step"}
 	}
 	out := &IntensityProfile{Name: "csv", StepSeconds: stepSeconds}

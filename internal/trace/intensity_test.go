@@ -239,15 +239,16 @@ func testTrace2D(t *testing.T, steps int) *Trace {
 }
 
 // TestCompress2DConstantProfileBitwise pins the determinism contract:
-// with a constant rate profile the 2-D fold's demand cells are
-// Float64bits-identical to the 1-D Compress of the same trace.
+// with a constant rate profile the fold's demand cells are
+// Float64bits-identical to the fold of the same trace with no rate
+// sets.
 func TestCompress2DConstantProfileBitwise(t *testing.T) {
 	tr := testTrace2D(t, 1440)
 	rates := make([]float64, len(tr.DemandOps))
 	for i := range rates {
 		rates[i] = 0.45
 	}
-	h1, err := tr.Compress(128)
+	h1, err := tr.Compress2D(128, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +256,8 @@ func TestCompress2DConstantProfileBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h2.BinOps) != len(h1.BinOps) {
-		t.Fatalf("cells %d, want %d 1-D bins", len(h2.BinOps), len(h1.BinOps))
+	if len(h2.BinOps) != len(h1.BinOps) || h2.Bins != h1.Bins {
+		t.Fatalf("cells %d (%d bins), want %d demand bins", len(h2.BinOps), h2.Bins, len(h1.BinOps))
 	}
 	for i := range h1.BinOps {
 		if math.Float64bits(h2.BinOps[i]) != math.Float64bits(h1.BinOps[i]) {
@@ -409,8 +410,15 @@ func TestCompress2DValidation(t *testing.T) {
 	} else if re.Index != 7 {
 		t.Fatalf("rate error index %d, want 7", re.Index)
 	}
-	if _, err := tr.Compress2D(8, 4); err == nil {
-		t.Fatal("no rate sets accepted")
+	// No rate sets is the plain demand histogram: one cell per
+	// occupied demand bin.
+	if h, err := tr.Compress2D(8, 4); err != nil {
+		t.Fatalf("no rate sets: %v", err)
+	} else if len(h.Rates) != 0 || h.Cells() != h.Bins {
+		t.Fatalf("no rate sets: %d rate sets, %d cells for %d bins", len(h.Rates), h.Cells(), h.Bins)
+	}
+	if _, err := tr.Compress2D(8, 0); err == nil {
+		t.Fatal("zero rate bins accepted without rate sets")
 	}
 	if _, err := tr.Compress2D(0, 4, good); err == nil {
 		t.Fatal("zero bins accepted")

@@ -30,6 +30,11 @@ func (t *Trace) Duration() float64 {
 	return t.StepSeconds * float64(len(t.DemandOps))
 }
 
+// validStep reports whether a sampling period is finite and positive.
+func validStep(s float64) bool {
+	return s > 0 && !math.IsInf(s, 0)
+}
+
 // Stats summarizes a trace.
 type Stats struct {
 	MeanOps, PeakOps, MinOps float64
@@ -95,6 +100,9 @@ func Diurnal(cfg DiurnalConfig) (*Trace, error) {
 	step := cfg.StepSeconds
 	if step <= 0 {
 		step = 300
+	}
+	if !validStep(step) {
+		return nil, fmt.Errorf("trace: step %v s", cfg.StepSeconds)
 	}
 	peakHour := cfg.PeakHour
 	if peakHour == 0 {
