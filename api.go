@@ -319,6 +319,11 @@ func PackToFull(ps []*PlacementProfile, demandOps float64, opts PlacementOptions
 	return placement.PackToFull(ps, demandOps, opts)
 }
 
+// PackOrder returns a copy of the profiles in PackToFull's engage
+// order, descending full-load efficiency: the member order under which
+// SimulateFleet's pack policies draw what PackToFull plans.
+func PackOrder(ps []*PlacementProfile) []*PlacementProfile { return placement.PackOrder(ps) }
+
 // SpreadEvenly is the load-balancer baseline: every server at equal
 // utilization.
 func SpreadEvenly(ps []*PlacementProfile, demandOps float64, opts PlacementOptions) (PlacementPlan, error) {
@@ -430,20 +435,11 @@ func ClusterScalingStudy(prototype *PlacementProfile, sizes []int, policy Cluste
 	return cluster.ScalingStudy(prototype, sizes, policy)
 }
 
-// Demand traces and energy replay (internal/trace).
+// Demand traces (internal/trace).
 type (
 	Trace         = trace.Trace
 	DiurnalConfig = trace.DiurnalConfig
 	BurstyConfig  = trace.BurstyConfig
-	TraceStrategy = trace.Strategy
-	ReplayResult  = trace.ReplayResult
-)
-
-// Replay strategies.
-const (
-	StrategyProportional = trace.StrategyProportional
-	StrategyPackToFull   = trace.StrategyPackToFull
-	StrategySpreadEvenly = trace.StrategySpreadEvenly
 )
 
 // DiurnalTrace synthesizes a day/night demand pattern.
@@ -457,17 +453,6 @@ func BurstyTrace(cfg BurstyConfig) (*Trace, error) { return trace.Bursty(cfg) }
 // time,demand pairs; optional header) at the given sampling period.
 func ReadTraceCSV(r io.Reader, stepSeconds float64) (*Trace, error) {
 	return trace.ReadCSV(r, stepSeconds)
-}
-
-// ReplayTrace accounts a fleet's energy over a trace under one
-// placement strategy.
-func ReplayTrace(tr *Trace, fleet []*PlacementProfile, s TraceStrategy, opts PlacementOptions) (ReplayResult, error) {
-	return trace.Replay(tr, fleet, s, opts)
-}
-
-// CompareTraceStrategies replays the trace under every strategy.
-func CompareTraceStrategies(tr *Trace, fleet []*PlacementProfile, opts PlacementOptions) ([]ReplayResult, error) {
-	return trace.CompareStrategies(tr, fleet, opts)
 }
 
 // Streaming fleet simulation (internal/fleetsim): a time-stepped
@@ -640,10 +625,6 @@ func DefaultEmbodiedCarbon() EmbodiedCarbon { return optimize.DefaultEmbodied() 
 
 // DefaultTariff returns a typical 2016 US datacenter tariff.
 func DefaultTariff() Tariff { return trace.DefaultTariff() }
-
-// EnergyCost converts a replay result into an electricity bill and
-// carbon footprint.
-func EnergyCost(res ReplayResult, t Tariff) (Bill, error) { return trace.Cost(res, t) }
 
 // AnnualizedBill scales a bill measured over traceDays to a 365-day
 // year.

@@ -152,9 +152,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := repro.CompareTraceStrategies(tr, fleet, repro.PlacementOptions{})
-	if err != nil || len(results) != 3 {
-		t.Fatalf("trace strategies: %v", err)
+	members := repro.PackOrder(fleet)
+	for _, policy := range []repro.ClusterPolicy{repro.PolicySpread, repro.PolicyPack, repro.PolicyPackPowerOff, repro.PolicyOptimalRegion} {
+		res, err := repro.SimulateFleet(repro.FleetSimConfig{Members: members, Policy: policy, Trace: tr})
+		if err != nil || res.EnergyKWh <= 0 {
+			t.Fatalf("fleet simulation under %v: %v", policy, err)
+		}
 	}
 
 	// Workload.
@@ -251,7 +254,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if _, err := repro.Disclosure(servers[50]); err != nil {
 		t.Fatal(err)
 	}
-	bill, err := repro.EnergyCost(repro.ReplayResult{EnergyKWh: 10}, repro.DefaultTariff())
+	bill, err := repro.DefaultTariff().BillOf(10)
 	if err != nil || bill.USD <= 0 {
 		t.Fatalf("cost: %v", err)
 	}

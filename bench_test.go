@@ -556,41 +556,6 @@ func BenchmarkExtE3Quadrature(b *testing.B) {
 	printOnce("extE3", out)
 }
 
-func BenchmarkExtTraceReplayDay(b *testing.B) {
-	rp := benchCorpus(b)
-	var fleet []*repro.PlacementProfile
-	var capacity float64
-	for _, r := range rp.YearRange(2011, 2016).All()[:30] {
-		p, err := repro.NewPlacementProfile(r.ID, r.MustCurve())
-		if err != nil {
-			b.Fatal(err)
-		}
-		fleet = append(fleet, p)
-		capacity += p.MaxOps
-	}
-	tr, err := repro.DiurnalTrace(repro.DiurnalConfig{
-		Seed: 1, Days: 1, BaseOps: 0.45 * capacity, DailySwing: 0.5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var results []repro.ReplayResult
-	for i := 0; i < b.N; i++ {
-		results, err = repro.CompareTraceStrategies(tr, fleet, repro.PlacementOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if _, loaded := printed.LoadOrStore("trace", true); !loaded {
-		fmt.Println("\nOne simulated day, 30-server fleet:")
-		for _, r := range results {
-			fmt.Printf("  %-14s %7.1f kWh, fleet EE %.1f\n", r.Strategy, r.EnergyKWh, r.AvgEE)
-		}
-	}
-}
-
 func BenchmarkExtWorkloadInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.SimulateWorkload(repro.WorkloadConfig{

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,23 +13,34 @@ func TestRunWeekSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"proportional", "pack-to-full", "spread-evenly", "kg CO2", "annualized", "/yr"} {
+	for _, want := range []string{"spread", "pack", "pack+off", "optimal-region", "kg CO2", "annualized", "/yr"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
 	}
 }
 
+// TestRunPowerOff checks that powering idle servers off saves energy:
+// the pack+off row uses less than the pack row.
 func TestRunPowerOff(t *testing.T) {
-	var on, off, errBuf bytes.Buffer
-	if err := run([]string{"-fleet", "10", "-days", "1", "-seed", "4"}, &on, &errBuf); err != nil {
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-fleet", "10", "-days", "1", "-seed", "4"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-fleet", "10", "-days", "1", "-seed", "4", "-power-off"}, &off, &errBuf); err != nil {
-		t.Fatal(err)
+	rows := parseRows(out.String())
+	kWh := func(policy string) float64 {
+		f := strings.Fields(rows[policy].fields)
+		if len(f) == 0 {
+			t.Fatalf("no %s row:\n%s", policy, out.String())
+		}
+		v, err := strconv.ParseFloat(f[0], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	if on.String() == off.String() {
-		t.Error("power-off made no difference")
+	if on, off := kWh("pack"), kWh("pack+off"); off >= on {
+		t.Errorf("pack+off %v kWh should undercut pack %v kWh", off, on)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Datacenter: a week of operations. Builds a heterogeneous fleet from
 // the synthetic corpus, synthesizes a diurnal demand trace with weekend
-// dips and bursts, and accounts the energy bill under three placement
-// strategies — quantifying the paper's motivation that fluctuating,
-// low-to-medium utilization is where energy proportionality pays.
+// dips and bursts, and simulates the week under each cluster policy —
+// quantifying the paper's motivation that fluctuating, low-to-medium
+// utilization is where energy proportionality pays.
 // Also shows cluster-wide proportionality: the same fleet's aggregate
 // power curve under each load-distribution policy.
 package main
@@ -56,44 +56,38 @@ func run() error {
 	fmt.Printf("trace: %d days, mean %.1fM ops (%.0f%% of capacity), peak %.1fM, load factor %.2f\n\n",
 		7, stats.MeanOps/1e6, 100*stats.MeanOps/capacity, stats.PeakOps/1e6, stats.LoadFactor)
 
-	results, err := repro.CompareTraceStrategies(tr, fleet, repro.PlacementOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("one week of operations by placement strategy:")
-	var baseline float64
-	for _, r := range results {
-		if r.Strategy == repro.StrategySpreadEvenly {
-			baseline = r.EnergyKWh
+	// The simulator engages members in order: hand it a copy in
+	// PackToFull's order, and keep the corpus order for the cluster
+	// study below.
+	members := repro.PackOrder(fleet)
+	fmt.Println("one week of operations by cluster policy:")
+	var spread, off repro.FleetSimResult
+	for _, policy := range []repro.ClusterPolicy{
+		repro.PolicySpread, repro.PolicyPack, repro.PolicyPackPowerOff, repro.PolicyOptimalRegion,
+	} {
+		r, err := repro.SimulateFleet(repro.FleetSimConfig{Members: members, Policy: policy, Trace: tr})
+		if err != nil {
+			return err
 		}
-	}
-	for _, r := range results {
+		switch policy {
+		case repro.PolicySpread:
+			spread = r
+		case repro.PolicyPackPowerOff:
+			off = r
+		}
 		fmt.Printf("  %-14s %8.1f kWh  avg %6.0f W  peak %6.0f W  fleet EE %6.1f  (%+.1f%% vs spread)\n",
-			r.Strategy, r.EnergyKWh, r.AvgPowerWatts, r.PeakPowerWatts, r.AvgEE,
-			100*(r.EnergyKWh/baseline-1))
+			policy, r.EnergyKWh, r.AvgPowerWatts, r.PeakPowerWatts, r.AvgEE,
+			100*(r.EnergyKWh/spread.EnergyKWh-1))
 	}
+	fmt.Println()
 
-	// With power-off for idle machines the gap widens further.
-	off, err := repro.ReplayTrace(tr, fleet, repro.StrategyProportional, repro.PlacementOptions{IdleServersOff: true})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  %-14s %8.1f kWh (proportional + idle power-off, %+.1f%% vs spread)\n\n",
-		"prop+off", off.EnergyKWh, 100*(off.EnergyKWh/baseline-1))
-
-	// What the policy choice is worth on the bill, annualized.
+	// What powering idle servers off is worth on the bill, annualized.
 	tariff := repro.DefaultTariff()
-	spreadRes := results[len(results)-1] // spread-evenly is last in order
-	for _, r := range results {
-		if r.Strategy == repro.StrategySpreadEvenly {
-			spreadRes = r
-		}
-	}
-	spreadBill, err := repro.EnergyCost(spreadRes, tariff)
+	spreadBill, err := tariff.BillOf(spread.EnergyKWh)
 	if err != nil {
 		return err
 	}
-	offBill, err := repro.EnergyCost(off, tariff)
+	offBill, err := tariff.BillOf(off.EnergyKWh)
 	if err != nil {
 		return err
 	}
@@ -101,8 +95,8 @@ func run() error {
 	offYear, _ := repro.AnnualizedBill(offBill, 7)
 	fmt.Printf("annualized at $%.2f/kWh, %.2f kgCO2/kWh, PUE %.1f:\n",
 		tariff.USDPerKWh, tariff.KgCO2PerKWh, tariff.PUE)
-	fmt.Printf("  spread-evenly: $%.0f/yr, %.1f t CO2\n", spreadYear.USD, spreadYear.KgCO2/1000)
-	fmt.Printf("  prop+off:      $%.0f/yr, %.1f t CO2  (saves $%.0f and %.1f t CO2 per year)\n\n",
+	fmt.Printf("  spread:   $%.0f/yr, %.1f t CO2\n", spreadYear.USD, spreadYear.KgCO2/1000)
+	fmt.Printf("  pack+off: $%.0f/yr, %.1f t CO2  (saves $%.0f and %.1f t CO2 per year)\n\n",
 		offYear.USD, offYear.KgCO2/1000, spreadYear.USD-offYear.USD, (spreadYear.KgCO2-offYear.KgCO2)/1000)
 
 	// Cluster-wide proportionality: the fleet's aggregate curve under

@@ -211,7 +211,8 @@ func TestSaturationAndZeroDemand(t *testing.T) {
 }
 
 // TestRunRejectsBadConfig covers validation: empty traces, bad steps,
-// non-finite demand, and negative power parameters must fail up front.
+// non-finite demand, negative power parameters, an empty fleet and an
+// unknown policy must fail up front.
 func TestRunRejectsBadConfig(t *testing.T) {
 	fleet := uniformFleet(t, 2, 100, 100, 200)
 	good := func() Config {
@@ -233,6 +234,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"negative hyst":  func(c *Config) { c.Power.HysteresisSteps = -1 },
 		"negative every": func(c *Config) { c.Latency.Every = -1 },
 		"no members":     func(c *Config) { c.Members = nil },
+		"unknown policy": func(c *Config) { c.Policy = cluster.Policy(99) },
 	}
 	for name, mutate := range cases {
 		c := good()

@@ -324,6 +324,15 @@ func EngageOrder(profiles []*Profile) []*Profile {
 	return order
 }
 
+// PackOrder returns the profiles sorted in descending full-load
+// efficiency — the order PackToFull engages servers. A pack-policy
+// simulation over members in this order draws what PackToFull plans.
+func PackOrder(profiles []*Profile) []*Profile {
+	order := append([]*Profile(nil), profiles...)
+	sort.SliceStable(order, func(i, j int) bool { return order[i].EEAt(1) > order[j].EEAt(1) })
+	return order
+}
+
 // Group is a homogeneous run: Count servers sharing one profile. The
 // grouped fill and the cluster evaluators collapse per-member work
 // over a run into closed-form count × per-model terms, so evaluating a
@@ -505,8 +514,7 @@ func PackToFull(profiles []*Profile, demandOps float64, opts Options) (Plan, err
 	if demandOps <= 0 {
 		return Plan{}, ErrDemand
 	}
-	order := append([]*Profile(nil), profiles...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].EEAt(1) > order[j].EEAt(1) })
+	order := PackOrder(profiles)
 	util := make([]float64, len(order))
 	remaining := demandOps
 	for i, s := range order {

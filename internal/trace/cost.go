@@ -24,7 +24,7 @@ func DefaultTariff() Tariff {
 	return Tariff{USDPerKWh: 0.10, KgCO2PerKWh: 0.45, PUE: 1.5}
 }
 
-// Bill is the cost and carbon accounting of a replay.
+// Bill is the cost and carbon accounting of an energy total.
 type Bill struct {
 	// FacilityKWh is IT energy scaled by PUE.
 	FacilityKWh float64
@@ -63,8 +63,8 @@ func (t Tariff) EffectivePUE() float64 {
 
 // BillOf prices raw IT energy under the tariff: facility energy via
 // PUE, then cost and carbon at the tariff's rates. It is the shared
-// pricing kernel behind Cost, the simulators' -price/-carbon flags,
-// and the composition optimizer's objective.
+// pricing kernel behind the simulators' -price/-carbon flags and the
+// composition optimizer's objective.
 func (t Tariff) BillOf(energyKWh float64) (Bill, error) {
 	if err := t.Validate(); err != nil {
 		return Bill{}, err
@@ -75,11 +75,6 @@ func (t Tariff) BillOf(energyKWh float64) (Bill, error) {
 		USD:         facility * t.USDPerKWh,
 		KgCO2:       facility * t.KgCO2PerKWh,
 	}, nil
-}
-
-// Cost converts a replay result into a bill under the tariff.
-func Cost(res ReplayResult, t Tariff) (Bill, error) {
-	return t.BillOf(res.EnergyKWh)
 }
 
 // AnnualizedBill scales a bill measured over traceDays to a 365-day

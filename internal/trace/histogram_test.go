@@ -79,30 +79,3 @@ func TestCompressDegenerateAndErrors(t *testing.T) {
 		t.Error("NaN demand accepted")
 	}
 }
-
-func TestBillOfMatchesCost(t *testing.T) {
-	tariff := DefaultTariff()
-	res := ReplayResult{EnergyKWh: 123.4}
-	want, err := Cost(res, tariff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tariff.BillOf(res.EnergyKWh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("BillOf %+v, want %+v", got, want)
-	}
-	if _, err := (Tariff{USDPerKWh: -1}).BillOf(1); err == nil {
-		t.Error("negative tariff accepted")
-	}
-	if _, err := (Tariff{PUE: 0.5}).BillOf(1); err == nil {
-		t.Error("PUE below 1 accepted")
-	}
-	// Zero PUE means 1.0: IT energy is the facility energy.
-	b, err := (Tariff{USDPerKWh: 0.2}).BillOf(10)
-	if err != nil || b.FacilityKWh != 10 || b.USD != 2 {
-		t.Fatalf("zero-PUE bill %+v (%v)", b, err)
-	}
-}

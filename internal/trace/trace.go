@@ -1,19 +1,17 @@
-// Package trace generates and replays datacenter demand traces. The
-// paper's motivation (§I) is that real workloads fluctuate, leaving
-// servers in the low-to-medium utilization region where energy
-// proportionality matters; this package makes that argument
-// quantitative: it synthesizes diurnal demand curves and replays them
-// against a fleet under different placement strategies, accounting
-// energy over the trace.
+// Package trace generates, reads and prices datacenter demand traces.
+// The paper's motivation (§I) is that real workloads fluctuate,
+// leaving servers in the low-to-medium utilization region where energy
+// proportionality matters; this package supplies that fluctuation. It
+// synthesizes diurnal and bursty demand, reads demand traces and
+// grid-intensity profiles from CSV, folds a trace into the histogram
+// the composition optimizer scores, and prices energy under a tariff.
+// internal/fleetsim simulates a fleet over a trace.
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/placement"
 )
 
 // Trace is a demand time series in operations per second at a fixed
@@ -137,121 +135,6 @@ func Diurnal(cfg DiurnalConfig) (*Trace, error) {
 			}
 			out.DemandOps = append(out.DemandOps, math.Max(0, d))
 		}
-	}
-	return out, nil
-}
-
-// Strategy selects the placement policy used at every trace step.
-type Strategy int
-
-// Strategies.
-const (
-	StrategyProportional Strategy = iota + 1
-	StrategyPackToFull
-	StrategySpreadEvenly
-)
-
-// String returns the strategy name.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyProportional:
-		return "proportional"
-	case StrategyPackToFull:
-		return "pack-to-full"
-	case StrategySpreadEvenly:
-		return "spread-evenly"
-	default:
-		return "unknown"
-	}
-}
-
-// AllStrategies lists the replay strategies.
-func AllStrategies() []Strategy {
-	return []Strategy{StrategyProportional, StrategyPackToFull, StrategySpreadEvenly}
-}
-
-// ReplayResult accounts a fleet's energy over a trace.
-type ReplayResult struct {
-	Strategy Strategy
-	// EnergyKWh is the total electrical energy over the trace.
-	EnergyKWh float64
-	// AvgPowerWatts and PeakPowerWatts summarize the power draw.
-	AvgPowerWatts, PeakPowerWatts float64
-	// ServedOps and UnservedOps integrate demand coverage (op·seconds,
-	// reported as average ops).
-	ServedOps, UnservedOps float64
-	// AvgEE is served throughput over power, averaged across steps.
-	AvgEE float64
-}
-
-// Replay runs the trace against the fleet under the strategy.
-func Replay(tr *Trace, fleet []*placement.Profile, strategy Strategy, opts placement.Options) (ReplayResult, error) {
-	if tr == nil || len(tr.DemandOps) == 0 {
-		return ReplayResult{}, errors.New("trace: empty trace")
-	}
-	if len(fleet) == 0 {
-		return ReplayResult{}, placement.ErrNoServers
-	}
-	place := placement.PlaceProportional
-	switch strategy {
-	case StrategyProportional:
-	case StrategyPackToFull:
-		place = placement.PackToFull
-	case StrategySpreadEvenly:
-		place = placement.SpreadEvenly
-	default:
-		return ReplayResult{}, fmt.Errorf("trace: unknown strategy %d", strategy)
-	}
-
-	res := ReplayResult{Strategy: strategy}
-	var eeSum float64
-	var eeSteps int
-	for _, demand := range tr.DemandOps {
-		var watts, served float64
-		if demand <= 0 {
-			// An idle fleet still draws idle power unless powered off.
-			if !opts.IdleServersOff {
-				for _, s := range fleet {
-					watts += s.PowerAt(0)
-				}
-			}
-		} else {
-			plan, err := place(fleet, demand, opts)
-			if err != nil {
-				return ReplayResult{}, fmt.Errorf("trace: replay step: %w", err)
-			}
-			watts = plan.TotalPower
-			served = math.Min(plan.TotalOps, demand)
-		}
-		res.ServedOps += served
-		res.UnservedOps += math.Max(0, demand-served)
-		res.EnergyKWh += watts * tr.StepSeconds / 3.6e6
-		res.AvgPowerWatts += watts
-		res.PeakPowerWatts = math.Max(res.PeakPowerWatts, watts)
-		if watts > 0 && served > 0 {
-			eeSum += served / watts
-			eeSteps++
-		}
-	}
-	n := float64(len(tr.DemandOps))
-	res.AvgPowerWatts /= n
-	res.ServedOps /= n
-	res.UnservedOps /= n
-	if eeSteps > 0 {
-		res.AvgEE = eeSum / float64(eeSteps)
-	}
-	return res, nil
-}
-
-// CompareStrategies replays the trace under every strategy.
-func CompareStrategies(tr *Trace, fleet []*placement.Profile, opts placement.Options) ([]ReplayResult, error) {
-	out := make([]ReplayResult, 0, len(AllStrategies()))
-	for _, s := range AllStrategies() {
-		r, err := Replay(tr, fleet, s, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
 	}
 	return out, nil
 }

@@ -3,9 +3,6 @@ package trace
 import (
 	"math"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/placement"
 )
 
 func diurnalFixture(t *testing.T, days int, seed int64) *Trace {
@@ -132,134 +129,8 @@ func TestDiurnalDeterministic(t *testing.T) {
 	}
 }
 
-// fleetFixture builds a mixed fleet: modern curves peaking at 80% and
-// legacy high-idle machines.
-func fleetFixture(t *testing.T) []*placement.Profile {
-	t.Helper()
-	modern := []float64{0.20, 0.267, 0.333, 0.40, 0.49, 0.577, 0.66, 0.734, 0.849, 1.0}
-	legacy := make([]float64, 10)
-	for i := range legacy {
-		u := float64(i+1) / 10
-		legacy[i] = 0.6 + 0.4*u
-	}
-	build := func(idle float64, norm []float64, peakW, maxOps float64, id string) *placement.Profile {
-		watts := make([]float64, 10)
-		ops := make([]float64, 10)
-		for i := range norm {
-			watts[i] = peakW * norm[i]
-			ops[i] = maxOps * float64(i+1) / 10
-		}
-		c, err := core.NewStandardCurve(peakW*idle, watts, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := placement.NewProfile(id, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	var fleet []*placement.Profile
-	for i := 0; i < 4; i++ {
-		fleet = append(fleet, build(0.055, modern, 300, 1e6, "modern"))
-	}
-	for i := 0; i < 4; i++ {
-		fleet = append(fleet, build(0.6, legacy, 400, 8e5, "legacy"))
-	}
-	return fleet
-}
-
-func TestReplayAccountsEnergy(t *testing.T) {
-	tr := diurnalFixture(t, 1, 4)
-	fleet := fleetFixture(t)
-	res, err := Replay(tr, fleet, StrategyProportional, placement.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EnergyKWh <= 0 || res.AvgPowerWatts <= 0 {
-		t.Fatalf("no energy accounted: %+v", res)
-	}
-	// Energy consistency: kWh = avg W × duration.
-	wantKWh := res.AvgPowerWatts * tr.Duration() / 3.6e6
-	if math.Abs(res.EnergyKWh-wantKWh) > wantKWh*1e-9 {
-		t.Errorf("energy %v inconsistent with average power (%v kWh)", res.EnergyKWh, wantKWh)
-	}
-	if res.PeakPowerWatts < res.AvgPowerWatts {
-		t.Error("peak below average")
-	}
-	// The fleet covers this trace: demand peak 1.5e6 < capacity 7.2e6.
-	if res.UnservedOps > 1 {
-		t.Errorf("unserved demand %v on an over-provisioned fleet", res.UnservedOps)
-	}
-}
-
-func TestReplayStrategyOrdering(t *testing.T) {
-	tr := diurnalFixture(t, 1, 8)
-	fleet := fleetFixture(t)
-	results, err := CompareStrategies(tr, fleet, placement.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	byStrategy := make(map[Strategy]ReplayResult, len(results))
-	for _, r := range results {
-		byStrategy[r.Strategy] = r
-	}
-	prop := byStrategy[StrategyProportional]
-	spread := byStrategy[StrategySpreadEvenly]
-	if prop.EnergyKWh >= spread.EnergyKWh {
-		t.Errorf("proportional energy %v should undercut spread %v",
-			prop.EnergyKWh, spread.EnergyKWh)
-	}
-	if prop.AvgEE <= spread.AvgEE {
-		t.Errorf("proportional EE %v should beat spread %v", prop.AvgEE, spread.AvgEE)
-	}
-}
-
-func TestReplayPowerOffSavesEnergy(t *testing.T) {
-	tr := diurnalFixture(t, 1, 12)
-	fleet := fleetFixture(t)
-	on, err := Replay(tr, fleet, StrategyProportional, placement.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Replay(tr, fleet, StrategyProportional, placement.Options{IdleServersOff: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.EnergyKWh >= on.EnergyKWh {
-		t.Errorf("power-off energy %v should undercut always-on %v", off.EnergyKWh, on.EnergyKWh)
-	}
-}
-
-func TestReplayErrors(t *testing.T) {
-	fleet := fleetFixture(t)
-	if _, err := Replay(nil, fleet, StrategyProportional, placement.Options{}); err == nil {
-		t.Error("nil trace accepted")
-	}
-	tr := diurnalFixture(t, 1, 1)
-	if _, err := Replay(tr, nil, StrategyProportional, placement.Options{}); err == nil {
-		t.Error("empty fleet accepted")
-	}
-	if _, err := Replay(tr, fleet, Strategy(99), placement.Options{}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestStrategyStrings(t *testing.T) {
-	if StrategyProportional.String() != "proportional" ||
-		StrategyPackToFull.String() != "pack-to-full" ||
-		StrategySpreadEvenly.String() != "spread-evenly" ||
-		Strategy(99).String() != "unknown" {
-		t.Error("strategy names wrong")
-	}
-}
-
 func TestCostAccounting(t *testing.T) {
-	res := ReplayResult{EnergyKWh: 100}
-	bill, err := Cost(res, Tariff{USDPerKWh: 0.10, KgCO2PerKWh: 0.45, PUE: 1.5})
+	bill, err := Tariff{USDPerKWh: 0.10, KgCO2PerKWh: 0.45, PUE: 1.5}.BillOf(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,18 +143,18 @@ func TestCostAccounting(t *testing.T) {
 	if math.Abs(bill.KgCO2-67.5) > 1e-9 {
 		t.Errorf("kgCO2 = %v", bill.KgCO2)
 	}
-	// Zero PUE means 1.0.
-	noPUE, err := Cost(res, Tariff{USDPerKWh: 0.10})
+	// Zero PUE means 1.0: IT energy is the facility energy.
+	noPUE, err := Tariff{USDPerKWh: 0.10}.BillOf(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noPUE.FacilityKWh != 100 {
 		t.Errorf("facility kWh = %v without PUE", noPUE.FacilityKWh)
 	}
-	if _, err := Cost(res, Tariff{USDPerKWh: -1}); err == nil {
+	if _, err := (Tariff{USDPerKWh: -1}).BillOf(100); err == nil {
 		t.Error("negative tariff accepted")
 	}
-	if _, err := Cost(res, Tariff{PUE: 0.5}); err == nil {
+	if _, err := (Tariff{PUE: 0.5}).BillOf(100); err == nil {
 		t.Error("PUE < 1 accepted")
 	}
 }
@@ -306,32 +177,5 @@ func TestDefaultTariffSane(t *testing.T) {
 	tf := DefaultTariff()
 	if tf.USDPerKWh <= 0 || tf.KgCO2PerKWh <= 0 || tf.PUE < 1 {
 		t.Errorf("default tariff %+v", tf)
-	}
-}
-
-func TestCostOrderingTracksEnergy(t *testing.T) {
-	// End-to-end: the cheaper strategy has the cheaper bill.
-	tr := diurnalFixture(t, 1, 20)
-	fleet := fleetFixture(t)
-	results, err := CompareStrategies(tr, fleet, placement.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf := DefaultTariff()
-	var propUSD, spreadUSD float64
-	for _, r := range results {
-		bill, err := Cost(r, tf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch r.Strategy {
-		case StrategyProportional:
-			propUSD = bill.USD
-		case StrategySpreadEvenly:
-			spreadUSD = bill.USD
-		}
-	}
-	if propUSD >= spreadUSD {
-		t.Errorf("proportional bill $%.2f should undercut spread $%.2f", propUSD, spreadUSD)
 	}
 }
