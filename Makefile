@@ -2,14 +2,18 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench fleetbench colbench simbench optbench carbonbench servebench report report-html verify calibrate fuzz serve selftest examples clean
+.PHONY: all check fmt build vet test race bench fleetbench colbench simbench optbench carbonbench servebench report report-html verify calibrate fuzz serve selftest examples clean
 
 all: check
 
-# The default gate: compile, vet, unit tests, and the race detector
-# over every package (the memo/column caches are lock-free on the read
-# path, so the race run is part of the standard check).
-check: build vet test race
+# The default gate: formatting, compile, vet, unit tests, and the race
+# detector over every package (the memo/column caches are lock-free on
+# the read path, so the race run is part of the standard check).
+check: fmt build vet test race
+
+# gofmt gate over the module and perfbench/ (gofmt -l walks into it).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: reformat the files above"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -101,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			models: *optModels, maxPer: *maxPer, step: *countStep,
 			bins: *bins, objective: *objName, topK: *topK,
 			days: *optDays, stepSeconds: *optStep, demand: *demand,
-			tariff: trace.Tariff{USDPerKWh: *price, KgCO2PerKWh: *carbon, PUE: *pue},
-			seed:   *seed,
+			tariff:    trace.Tariff{USDPerKWh: *price, KgCO2PerKWh: *carbon, PUE: *pue},
+			seed:      *seed,
 			intensity: *intens, intensityStep: *intStep, rateBins: *rateBins,
 			embodiedKg: *embodiedKg, lifetimeYears: *lifeYears, regions: *regionsS,
 		})

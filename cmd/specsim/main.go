@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -81,6 +82,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *duration <= 0 {
 		return fmt.Errorf("duration %v days", *duration)
+	}
+	if math.IsNaN(*load) || math.IsInf(*load, 0) {
+		return fmt.Errorf("-load %v", *load)
+	}
+	if math.IsNaN(*swing) || math.IsInf(*swing, 0) {
+		return fmt.Errorf("-swing %v", *swing)
 	}
 
 	results, err := synth.GenerateFleet(synth.FleetConfig{Seed: *seed, Servers: *servers})

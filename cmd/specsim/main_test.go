@@ -280,6 +280,20 @@ func TestBadArgs(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// A non-finite demand shape is reported against its flag, not as
+	// NaN demand deep in the simulator.
+	for _, args := range [][]string{
+		{"-load", "NaN"},
+		{"-load", "+Inf"},
+		{"-swing", "NaN"},
+		{"-trace", "bursty", "-load", "NaN"},
+	} {
+		var out, errBuf bytes.Buffer
+		err := run(args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("args %v: error %v does not name %s", args, err, args[len(args)-2])
+		}
+	}
 }
 
 func TestVersionFlag(t *testing.T) {

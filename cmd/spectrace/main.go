@@ -53,6 +53,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
 	}
+	if *fleetN < 1 {
+		return fmt.Errorf("-fleet %d: need at least one server", *fleetN)
+	}
 	rp, err := load2(*in, *seed)
 	if err != nil {
 		return err

@@ -55,4 +55,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", "/nope.csv"}, &out, &errBuf); err == nil {
 		t.Error("missing file accepted")
 	}
+	for _, n := range []string{"0", "-3"} {
+		err := run([]string{"-fleet", n}, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-fleet") {
+			t.Errorf("-fleet %s: error %v does not name the flag", n, err)
+		}
+	}
+	// A non-finite demand shape is an error, not a panic.
+	for _, args := range [][]string{{"-load", "NaN"}, {"-swing", "NaN"}} {
+		if err := run(args, &out, &errBuf); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
 }

@@ -199,6 +199,10 @@ func (p *Profile) OptimalEE() float64 {
 
 func clamp01(u float64) float64 { return math.Max(0, math.Min(1, u)) }
 
+// positiveFinite reports whether a demand or power cap is plannable:
+// NaN, ±Inf, zero and negative values are not.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // Cluster is a logical group of servers with similar proportionality
 // whose optimal working regions overlap (§V.C). The cluster's Region is
 // the intersection of its members' regions.
@@ -311,7 +315,7 @@ type Options struct {
 // errors returned by the planners.
 var (
 	ErrNoServers = errors.New("placement: no servers")
-	ErrDemand    = errors.New("placement: demand must be positive")
+	ErrDemand    = errors.New("placement: demand must be positive and finite")
 )
 
 // EngageOrder returns the profiles sorted in descending optimal-point
@@ -496,7 +500,7 @@ func PlaceProportional(profiles []*Profile, demandOps float64, opts Options) (Pl
 	if len(profiles) == 0 {
 		return Plan{}, ErrNoServers
 	}
-	if demandOps <= 0 {
+	if !positiveFinite(demandOps) {
 		return Plan{}, ErrDemand
 	}
 	order := EngageOrder(profiles)
@@ -511,7 +515,7 @@ func PackToFull(profiles []*Profile, demandOps float64, opts Options) (Plan, err
 	if len(profiles) == 0 {
 		return Plan{}, ErrNoServers
 	}
-	if demandOps <= 0 {
+	if !positiveFinite(demandOps) {
 		return Plan{}, ErrDemand
 	}
 	order := PackOrder(profiles)
@@ -534,7 +538,7 @@ func SpreadEvenly(profiles []*Profile, demandOps float64, opts Options) (Plan, e
 	if len(profiles) == 0 {
 		return Plan{}, ErrNoServers
 	}
-	if demandOps <= 0 {
+	if !positiveFinite(demandOps) {
 		return Plan{}, ErrDemand
 	}
 	var capacity float64
@@ -601,7 +605,7 @@ func MaxThroughputUnderCap(profiles []*Profile, powerCapWatts float64, opts Opti
 	if len(profiles) == 0 {
 		return Plan{}, ErrNoServers
 	}
-	if powerCapWatts <= 0 {
+	if !positiveFinite(powerCapWatts) {
 		return Plan{}, fmt.Errorf("placement: invalid power cap %v", powerCapWatts)
 	}
 	order := append([]*Profile(nil), profiles...)

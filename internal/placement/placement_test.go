@@ -259,6 +259,23 @@ func TestPlannerErrors(t *testing.T) {
 	if _, err := MaxThroughputUnderCap(fleet, 1, Options{}); err == nil {
 		t.Error("cap below idle draw accepted")
 	}
+	// Non-finite input is an error from every planner, never a panic or
+	// an unsatisfiable plan.
+	planners := map[string]func([]*Profile, float64, Options) (Plan, error){
+		"PlaceProportional": PlaceProportional,
+		"PackToFull":        PackToFull,
+		"SpreadEvenly":      SpreadEvenly,
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, plan := range planners {
+			if _, err := plan(fleet, v, Options{}); err != ErrDemand {
+				t.Errorf("%s demand %v: %v, want ErrDemand", name, v, err)
+			}
+		}
+		if _, err := MaxThroughputUnderCap(fleet, v, Options{}); err == nil {
+			t.Errorf("cap %v accepted", v)
+		}
+	}
 }
 
 func TestMaxThroughputUnderCap(t *testing.T) {

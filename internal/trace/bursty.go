@@ -43,6 +43,13 @@ func Bursty(cfg BurstyConfig) (*Trace, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("trace: steps %d", cfg.Steps)
 	}
+	if err := checkFinite(
+		field{"base demand", cfg.BaseOps}, field{"bursts per day", cfg.BurstsPerDay},
+		field{"burst factor", cfg.BurstFactor}, field{"decay", cfg.DecaySeconds},
+		field{"noise fraction", cfg.NoiseFrac},
+	); err != nil {
+		return nil, err
+	}
 	if cfg.BaseOps <= 0 {
 		return nil, fmt.Errorf("trace: base demand %v", cfg.BaseOps)
 	}

@@ -47,6 +47,15 @@ func TestBurstyRejects(t *testing.T) {
 		{Steps: 10, BaseOps: 1, StepSeconds: math.NaN()},
 		{Steps: 10, BaseOps: 1, StepSeconds: math.Inf(1)},
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases,
+			BurstyConfig{Steps: 10, BaseOps: v},
+			BurstyConfig{Steps: 10, BaseOps: 1, BurstsPerDay: v},
+			BurstyConfig{Steps: 10, BaseOps: 1, BurstFactor: v},
+			BurstyConfig{Steps: 10, BaseOps: 1, DecaySeconds: v},
+			BurstyConfig{Steps: 10, BaseOps: 1, NoiseFrac: v},
+		)
+	}
 	for _, cfg := range cases {
 		if _, err := Bursty(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)

@@ -33,6 +33,24 @@ func validStep(s float64) bool {
 	return s > 0 && !math.IsInf(s, 0)
 }
 
+// field is one named generator parameter.
+type field struct {
+	name  string
+	value float64
+}
+
+// checkFinite rejects the first NaN or infinite parameter by name. A
+// NaN passes every range check written as a comparison, so without
+// this it would reach the trace as NaN demand.
+func checkFinite(fields ...field) error {
+	for _, f := range fields {
+		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
+			return fmt.Errorf("trace: %s %v", f.name, f.value)
+		}
+	}
+	return nil
+}
+
 // Stats summarizes a trace.
 type Stats struct {
 	MeanOps, PeakOps, MinOps float64
@@ -88,6 +106,13 @@ type DiurnalConfig struct {
 func Diurnal(cfg DiurnalConfig) (*Trace, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("trace: days %d", cfg.Days)
+	}
+	if err := checkFinite(
+		field{"base demand", cfg.BaseOps}, field{"daily swing", cfg.DailySwing},
+		field{"peak hour", cfg.PeakHour}, field{"noise fraction", cfg.NoiseFrac},
+		field{"spike probability", cfg.SpikeProb}, field{"weekend factor", cfg.WeekendFactor},
+	); err != nil {
+		return nil, err
 	}
 	if cfg.BaseOps <= 0 {
 		return nil, fmt.Errorf("trace: base demand %v", cfg.BaseOps)

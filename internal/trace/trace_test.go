@@ -35,6 +35,22 @@ func TestDiurnalValidation(t *testing.T) {
 			t.Errorf("step %v accepted", step)
 		}
 	}
+	// A NaN slips past every range check written as a comparison; each
+	// non-finite parameter must be an error, not NaN demand.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, cfg := range []DiurnalConfig{
+			{Days: 1, BaseOps: v},
+			{Days: 1, BaseOps: 1, DailySwing: v},
+			{Days: 1, BaseOps: 1, PeakHour: v},
+			{Days: 1, BaseOps: 1, NoiseFrac: v},
+			{Days: 1, BaseOps: 1, SpikeProb: v},
+			{Days: 1, BaseOps: 1, WeekendFactor: v},
+		} {
+			if _, err := Diurnal(cfg); err == nil {
+				t.Errorf("config %+v accepted", cfg)
+			}
+		}
+	}
 }
 
 func TestDiurnalShape(t *testing.T) {
