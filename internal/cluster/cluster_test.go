@@ -48,6 +48,20 @@ func replicate(p *placement.Profile, n int) []*placement.Profile {
 	return out
 }
 
+// TestPolicyStrings pins the policy names spectrace, specsim and the
+// examples print as row labels and parse as flag values.
+func TestPolicyStrings(t *testing.T) {
+	want := []string{"spread", "pack", "pack+off", "optimal-region"}
+	for i, p := range AllPolicies() {
+		if p.String() != want[i] {
+			t.Errorf("policy %d is %q, want %q", p, p.String(), want[i])
+		}
+	}
+	if Policy(99).String() != "unknown" {
+		t.Errorf("out-of-range policy is %q", Policy(99).String())
+	}
+}
+
 func TestComposeErrors(t *testing.T) {
 	if _, err := Compose(nil, PolicySpread); err == nil {
 		t.Error("empty cluster accepted")

@@ -40,8 +40,8 @@ type field struct {
 }
 
 // checkFinite rejects the first NaN or infinite parameter by name. A
-// NaN passes every range check written as a comparison, so without
-// this it would reach the trace as NaN demand.
+// NaN fails every comparison, so a range check that rejects when a
+// comparison holds lets it through to the trace as NaN demand.
 func checkFinite(fields ...field) error {
 	for _, f := range fields {
 		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
