@@ -79,3 +79,28 @@ func TestCompressDegenerateAndErrors(t *testing.T) {
 		t.Error("NaN demand accepted")
 	}
 }
+
+func TestBillOfMatchesCost(t *testing.T) {
+	tariff := DefaultTariff()
+	const kWh = 123.4
+	facility := kWh * tariff.PUE
+	want := Bill{FacilityKWh: facility, USD: facility * tariff.USDPerKWh, KgCO2: facility * tariff.KgCO2PerKWh}
+	got, err := tariff.BillOf(kWh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("BillOf %+v, want %+v", got, want)
+	}
+	if _, err := (Tariff{USDPerKWh: -1}).BillOf(1); err == nil {
+		t.Error("negative tariff accepted")
+	}
+	if _, err := (Tariff{PUE: 0.5}).BillOf(1); err == nil {
+		t.Error("PUE below 1 accepted")
+	}
+	// Zero PUE means 1.0: IT energy is the facility energy.
+	b, err := (Tariff{USDPerKWh: 0.2}).BillOf(10)
+	if err != nil || b.FacilityKWh != 10 || b.USD != 2 {
+		t.Fatalf("zero-PUE bill %+v (%v)", b, err)
+	}
+}
