@@ -1,0 +1,90 @@
+package report
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/synth"
+)
+
+// The era-rate goldens pin every Theil–Sen consumer at full precision.
+// The JSON summary prints each era slope and projection with
+// strconv's shortest round-trip formatting, so a one-ulp change to a
+// fitted slope changes its digest; the fleet is large enough
+// (rateFleetServers) that every era fit estimates its slope median
+// from sampled pairs rather than all pairs. If an intentional output
+// change breaks these, regenerate the digests with a sha256 of the
+// same calls.
+const (
+	summarySeed1Digest   = "130270bb6cf598a28c5dd43001e515b6dadeaa871337116dddd4dfaa653405b9"
+	fleetSummaryDigest   = "01ea2305188a392383ad3dd3b7d80ddd460d5c87a43cf91c0a70458bf3f1a6c2"
+	fleetFigE4Digest     = "37b7d21e6d3465da3e76b3f08212240e4ae7d8352df90bf55bbf84b5ffdfcfe8"
+	fleetFigE6Digest     = "f9a94970f0dbadd048e8780d569def97fed0d498c556c70ecd6fc2c108f0be4e"
+	rateFleetServers     = 20_000
+	rateFleetSeed        = 1
+	rateFleetMinEraCount = 2049 // theilSenExactLimit + 1 in internal/stats
+)
+
+func digest(s []byte) string { return fmt.Sprintf("%x", sha256.Sum256(s)) }
+
+// TestJSONSummaryGolden pins MarshalJSONSummary over the seed-1 corpus.
+func TestJSONSummaryGolden(t *testing.T) {
+	rp, err := synth.NewRepository(synth.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := MarshalJSONSummary(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(data); got != summarySeed1Digest {
+		t.Errorf("seed-1 summary digest = %s, want %s (output drifted)", got, summarySeed1Digest)
+	}
+}
+
+// TestFleetEraRatesGolden pins the summary, Fig. E4 and Fig. E6 over a
+// fleet whose every era takes the sampled-pairs Theil–Sen branch.
+func TestFleetEraRatesGolden(t *testing.T) {
+	cs, err := synth.GenerateFleetStore(synth.FleetConfig{Seed: rateFleetSeed, Servers: rateFleetServers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := dataset.NewColumnRepository(cs)
+	hw := rp.Columns().HWYearCol()
+	for _, era := range [][2]int{{2007, 2012}, {2012, 2016}, {2013, 2016}} {
+		n := 0
+		for _, y := range hw {
+			if int(y) >= era[0] && int(y) <= era[1] {
+				n++
+			}
+		}
+		if n < rateFleetMinEraCount {
+			t.Fatalf("era %d-%d has %d servers; the fixture must sample pairs in every era", era[0], era[1], n)
+		}
+	}
+	data, err := MarshalJSONSummary(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e4, err := FigE4ImprovementRates(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e6, err := FigE6Projection(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"summary", digest(data), fleetSummaryDigest},
+		{"Fig. E4", digest([]byte(e4)), fleetFigE4Digest},
+		{"Fig. E6", digest([]byte(e6)), fleetFigE6Digest},
+	} {
+		if c.got != c.want {
+			t.Errorf("%d-server fleet %s digest = %s, want %s (output drifted)", rateFleetServers, c.name, c.got, c.want)
+		}
+	}
+}
