@@ -15,6 +15,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -24,6 +25,23 @@ import (
 	"repro/internal/par"
 	"repro/internal/stats"
 )
+
+// ErrTooFewServers marks an analysis the corpus is too small to
+// answer: the request was well-formed, the corpus cannot support it.
+// The errors that carry it keep their own messages; match with
+// errors.Is.
+var ErrTooFewServers = errors.New("analysis: too few servers")
+
+// tooFewError is a message-bearing error that unwraps to
+// ErrTooFewServers.
+type tooFewError struct{ msg string }
+
+func (e *tooFewError) Error() string { return e.msg }
+func (e *tooFewError) Unwrap() error { return ErrTooFewServers }
+
+func tooFew(format string, args ...any) error {
+	return &tooFewError{msg: fmt.Sprintf(format, args...)}
+}
 
 // gather copies the column values at the given rows, in order.
 func gather(col []float64, rows []int32) []float64 {

@@ -94,7 +94,7 @@ func SummarizeGap(rows []GapRow, minCount int) (GapSummary, error) {
 		s.LastYear, s.LowGapLast, s.PeakGapLast = row.Year, row.LowUtilGap, row.PeakRegionGap
 	}
 	if first {
-		return GapSummary{}, fmt.Errorf("analysis: no year with ≥ %d servers", minCount)
+		return GapSummary{}, tooFew("analysis: no year with ≥ %d servers", minCount)
 	}
 	return s, nil
 }

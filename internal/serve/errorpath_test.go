@@ -42,6 +42,33 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestTooSmallScenarioIs422: a keyed scenario whose corpus is too small
+// to analyze is a well-formed request the corpus cannot answer — 422
+// with the analysis message, not 500 — while the smallest keyed fleet
+// the serve benchmark asks for (128 servers) still renders.
+func TestTooSmallScenarioIs422(t *testing.T) {
+	s := newSyntheticServer(t, Config{Seed: testSeed})
+	for _, tc := range []struct {
+		target string
+		status int
+		detail string // substring the error body must carry
+	}{
+		{"/api/v1/report?servers=64", http.StatusUnprocessableEntity, "analysis: no year with ≥ 30 servers"},
+		{"/api/v1/summary?servers=16", http.StatusUnprocessableEntity, "analysis: era 2013-2016 has only 1 servers"},
+		{"/api/v1/summary?servers=128", http.StatusOK, ""},
+		{"/api/v1/metrics/ep?servers=128", http.StatusOK, ""},
+	} {
+		w := get(t, s, tc.target, nil)
+		if w.Code != tc.status {
+			t.Errorf("GET %s: status %d, want %d: %s", tc.target, w.Code, tc.status, w.Body.String())
+			continue
+		}
+		if !strings.Contains(w.Body.String(), tc.detail) {
+			t.Errorf("GET %s: body %q missing %q", tc.target, w.Body.String(), tc.detail)
+		}
+	}
+}
+
 // TestTextOnlyFigureSVGIs406 finds a figure without an SVG variant and
 // requires the 406 mapping of report.ErrNoSVG.
 func TestTextOnlyFigureSVGIs406(t *testing.T) {

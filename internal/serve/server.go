@@ -108,13 +108,7 @@ func New(cfg Config) (*Server, error) {
 		repo := cfg.Repo
 		s.source = func(int64) (*dataset.Repository, error) { return repo, nil }
 	} else {
-		s.source = func(seed int64) (*dataset.Repository, error) {
-			snap, err := SynthSnapshot(seed, opts)
-			if err != nil {
-				return nil, err
-			}
-			return snap.Repo, nil
-		}
+		s.source = synthRepository
 	}
 	if _, err := s.Reload(cfg.Seed); err != nil {
 		return nil, err
@@ -271,6 +265,8 @@ func errStatus(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, report.ErrNoSVG):
 		return http.StatusNotAcceptable
+	case errors.Is(err, analysis.ErrTooFewServers):
+		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
 	}

@@ -58,11 +58,21 @@ func NewSnapshot(rp *dataset.Repository, seed int64, opts report.Options) *Snaps
 // given.
 func SynthSnapshot(seed int64, opts report.Options) (*Snapshot, error) {
 	opts.Seed = seed
+	rp, err := synthRepository(seed)
+	if err != nil {
+		return nil, err
+	}
+	return NewSnapshot(rp, seed, opts), nil
+}
+
+// synthRepository generates the calibrated synthetic corpus at seed —
+// the corpus alone, which Reload then freezes into one snapshot.
+func synthRepository(seed int64) (*dataset.Repository, error) {
 	rp, err := synth.NewRepository(synth.Config{Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("serve: synthesize corpus: %w", err)
 	}
-	return NewSnapshot(rp, seed, opts), nil
+	return rp, nil
 }
 
 // Cache exposes the snapshot's response cache (read-mostly; tests use
