@@ -90,14 +90,20 @@ verify:
 calibrate:
 	$(GO) run ./cmd/specgen -verify -q
 
-# Fuzz the EP metric kernel, the curve solvers and the demand-trace
-# CSV parser for a short burst each (CI smoke; raise FUZZTIME locally
-# for a real session).
+# Fuzz every target the CI verify job smokes, for a short burst each:
+# the EP metric kernel, the curve solvers, the binary corpus codec, the
+# OpenMetrics parser, the intensity and demand-trace CSV parsers, and
+# the Theil-Sen slope median (raise FUZZTIME locally for a real
+# session).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCurveEP -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzIdleForEP -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzReadIntensityCSV -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzTheilSen -fuzztime $(FUZZTIME) ./internal/stats
 
 # Serve the report/figures/metrics over HTTP from the snapshot cache.
 serve:

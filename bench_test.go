@@ -503,8 +503,9 @@ func BenchmarkPlacement(b *testing.B) {
 }
 
 // Extension benchmarks (not in the paper): the low-utilization
-// proportionality gap, cluster-wide EP by policy, the Eq. 1 quadrature
-// ablation, trace replay, and the transaction-level workload engine.
+// proportionality gap, the per-era improvement rates and their
+// projection, cluster-wide EP by policy, the Eq. 1 quadrature
+// ablation, and the transaction-level workload engine.
 
 func BenchmarkExtE1GapTrend(b *testing.B) {
 	rp := benchCorpus(b)
@@ -518,6 +519,47 @@ func BenchmarkExtE1GapTrend(b *testing.B) {
 		}
 	}
 	printOnce("extE1", out)
+}
+
+// freshBenchCorpus rebuilds the benchmark corpus as a new repository
+// over the same results, with its metric columns built, off the clock.
+// Figures whose analyses the corpus memoizes (E4's and E6's per-era
+// Theil-Sen fits) render into it so every iteration times the fits
+// rather than a memo hit.
+func freshBenchCorpus(b *testing.B) *dataset.Repository {
+	b.StopTimer()
+	rp := dataset.NewRepository(benchCorpus(b).All())
+	rp.Precompute()
+	b.StartTimer()
+	return rp
+}
+
+func BenchmarkExtE4ImprovementRates(b *testing.B) {
+	benchCorpus(b)
+	b.ResetTimer()
+	var out string
+	for i := 0; i < b.N; i++ {
+		var err error
+		out, err = report.FigE4ImprovementRates(freshBenchCorpus(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	printOnce("extE4", out)
+}
+
+func BenchmarkExtE6Projection(b *testing.B) {
+	benchCorpus(b)
+	b.ResetTimer()
+	var out string
+	for i := 0; i < b.N; i++ {
+		var err error
+		out, err = report.FigE6Projection(freshBenchCorpus(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	printOnce("extE6", out)
 }
 
 func BenchmarkExtE2ClusterPolicies(b *testing.B) {
