@@ -33,11 +33,18 @@ func sortFloat64s(xs []float64) {
 	radixSortFloat64s(xs)
 }
 
-// radixSortFloat64s runs an 8-pass least-significant-byte radix sort.
-// Keys are the IEEE 754 bits transformed so unsigned key order equals
-// float order: negative values have all bits flipped, non-negative
-// values the sign bit set. Passes whose byte is constant across the
-// whole sample are skipped (common for the exponent bytes of
+// orderKey maps a float64 to a uint64 whose unsigned order is the
+// float's order, with -0.0 just below +0.0 (NaNs land at the ends by
+// sign): negative values have all bits flipped, non-negative values the
+// sign bit set.
+func orderKey(x float64) uint64 {
+	u := math.Float64bits(x)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+// radixSortFloat64s runs an 8-pass least-significant-byte radix sort
+// over orderKey keys. Passes whose byte is constant across the whole
+// sample are skipped (common for the exponent bytes of
 // similar-magnitude metric columns).
 func radixSortFloat64s(xs []float64) {
 	n := len(xs)
@@ -45,12 +52,7 @@ func radixSortFloat64s(xs []float64) {
 	tmp := make([]uint64, n)
 	var counts [8][256]int
 	for i, x := range xs {
-		u := math.Float64bits(x)
-		if u>>63 == 1 {
-			u = ^u
-		} else {
-			u |= 1 << 63
-		}
+		u := orderKey(x)
 		keys[i] = u
 		for p := 0; p < 8; p++ {
 			counts[p][byte(u>>(8*p))]++
