@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -468,5 +470,19 @@ func TestSummaryEndpoint(t *testing.T) {
 	w := get(t, s, "/api/v1/summary", nil)
 	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatalf("summary: status %d, match=%v", w.Code, bytes.Equal(w.Body.Bytes(), want))
+	}
+}
+
+// figureIndexDigest pins the /api/v1/figures body: every selector, its
+// title and its SVG capability, in FigureIDs order.
+const figureIndexDigest = "c5204cc0222af5e5cdf53143fb8915829d3f09e8bd219ff451acb544a0719519"
+
+func TestFigureIndexGolden(t *testing.T) {
+	w := get(t, newTestServer(t), "/api/v1/figures", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(w.Body.Bytes())); got != figureIndexDigest {
+		t.Errorf("figure index digest = %s, want %s (body drifted):\n%s", got, figureIndexDigest, w.Body.String())
 	}
 }
