@@ -342,15 +342,15 @@ type ReportOptions = report.Options
 // FullReport regenerates the paper's complete evaluation section.
 func FullReport(rp *Repository, opts ReportOptions) (string, error) { return report.Full(rp, opts) }
 
-// FigureIDs lists the selectors of the figure registry — every figure
-// and table of the paper addressable by its number ("1".."17", "t1",
-// "t2") plus the extension analyses ("e1", "e3".."e7").
+// FigureIDs lists the selectors of the report table — every figure and
+// table of the paper addressable by its number ("1".."17", "t1", "t2")
+// plus the extension analyses ("e1", "e3".."e7").
 func FigureIDs() []string { return report.FigureIDs() }
 
-// Figure renders one registered figure as its terminal-chart form.
+// Figure renders one selected figure as its terminal-chart form.
 func Figure(rp *Repository, id string) (string, error) { return report.Figure(rp, id) }
 
-// FigureSVG renders one registered figure as standalone SVG; figures
+// FigureSVG renders one selected figure as standalone SVG; figures
 // without a chart form return an error wrapping report.ErrNoSVG.
 func FigureSVG(rp *Repository, id string) (string, error) { return report.FigureSVG(rp, id) }
 

@@ -50,150 +50,68 @@ func printOnce(key, text string) {
 	}
 }
 
-func BenchmarkFig01EPCurve(b *testing.B) {
+// benchFigure times one figure's text render from the report table and
+// prints it once.
+func benchFigure(b *testing.B, id string) {
 	rp := benchCorpus(b)
-	var sample *dataset.Result
-	for _, r := range rp.YearRange(2016, 2016).All() {
-		if sample == nil || r.EP() > sample.EP() {
-			sample = r
-		}
-	}
 	b.ResetTimer()
 	var out string
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = report.Fig1EPCurve(sample)
+		out, err = report.Figure(rp, id)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	printOnce("fig1", out)
+	printOnce("fig"+id, out)
+}
+
+func BenchmarkFig01EPCurve(b *testing.B) {
+	benchFigure(b, "1")
 }
 
 func BenchmarkFig02Evolution(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = report.Fig2Evolution(rp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig2", out)
+	benchFigure(b, "2")
 }
 
 func BenchmarkFig03EPTrend(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = report.Fig3EPTrend(rp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig3", out)
+	benchFigure(b, "3")
 }
 
 func BenchmarkFig04EETrend(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = report.Fig4EETrend(rp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig4", out)
+	benchFigure(b, "4")
 }
 
 func BenchmarkFig05EPCDF(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = report.Fig5EPCDF(rp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig5", out)
+	benchFigure(b, "5")
 }
 
 func BenchmarkFig06MarchCount(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig6Families(rp)
-	}
-	printOnce("fig6", out)
+	benchFigure(b, "6")
 }
 
 func BenchmarkFig07CodenameEP(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig7Codenames(rp)
-	}
-	printOnce("fig7", out)
+	benchFigure(b, "7")
 }
 
 func BenchmarkFig08MarchMix(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig8MarchMix(rp)
-	}
-	printOnce("fig8", out)
+	benchFigure(b, "8")
 }
 
 func BenchmarkFig09PencilHead(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig9PencilHead(rp)
-	}
-	printOnce("fig9", out)
+	benchFigure(b, "9")
 }
 
 func BenchmarkFig10SelectedEP(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig10SelectedEP(rp)
-	}
-	printOnce("fig10", out)
+	benchFigure(b, "10")
 }
 
 func BenchmarkFig11Almond(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig11Almond(rp)
-	}
-	printOnce("fig11", out)
+	benchFigure(b, "11")
 }
 
 func BenchmarkFig12SelectedEE(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig12SelectedEE(rp)
-	}
-	printOnce("fig12", out)
+	benchFigure(b, "12")
 }
 
 func BenchmarkFig13NodeScale(b *testing.B) {
@@ -227,13 +145,7 @@ func BenchmarkFig15TwoChip(b *testing.B) {
 }
 
 func BenchmarkFig16PeakShift(b *testing.B) {
-	rp := benchCorpus(b)
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = report.Fig16PeakShift(rp)
-	}
-	printOnce("fig16", out)
+	benchFigure(b, "16")
 }
 
 func BenchmarkFig17MPC(b *testing.B) {

@@ -6,8 +6,10 @@
 //
 //	specanalyze [-in FILE] [-seed N] [-fig LIST] [-stats]
 //
-// -fig takes a comma-separated list of figure selectors: numbers 1-17
-// for the dataset figures, "t1"/"t2" for the tables, or "all".
+// -fig takes a comma-separated list of figure selectors — the paper's
+// figures 1 to 17, its tables t1 and t2, the extensions e1 and e3 to e7
+// — or "all". The figures print in report order; an unknown selector is
+// an error that lists the valid ones.
 package main
 
 import (
@@ -36,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		in        = fs.String("in", "", "dataset file (.csv or .json); empty generates the synthetic corpus")
 		seed      = fs.Int64("seed", 1, "seed for the synthetic corpus when -in is empty")
-		figs      = fs.String("fig", "all", "figures to print: e.g. 3,5,16 or t1,t2,e1..e5 or all")
+		figs      = fs.String("fig", "all", "comma-separated figures to print ("+strings.Join(report.FigureIDs(), " ")+") or all")
 		withStats = fs.Bool("stats", true, "print the headline statistics summary")
 		show      = fs.String("show", "", "print one result as a SPEC-style disclosure and exit")
 		asJSON    = fs.Bool("json", false, "emit every analysis as machine-readable JSON and exit")
@@ -75,60 +77,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("result %q not found", *show)
 	}
 
-	want := map[string]bool{}
-	all := *figs == "all"
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	selected := func(key string) bool { return all || want[key] }
-
-	type section struct {
-		key    string
-		render func() (string, error)
-	}
-	sections := []section{
-		{"1", func() (string, error) {
-			sample := bestSample(valid)
-			if sample == nil {
-				return "(no 2016 sample server)\n", nil
-			}
-			return report.Fig1EPCurve(sample)
-		}},
-		{"2", func() (string, error) { return report.Fig2Evolution(valid) }},
-		{"3", func() (string, error) { return report.Fig3EPTrend(valid) }},
-		{"4", func() (string, error) { return report.Fig4EETrend(valid) }},
-		{"5", func() (string, error) { return report.Fig5EPCDF(valid) }},
-		{"6", func() (string, error) { return report.Fig6Families(valid), nil }},
-		{"7", func() (string, error) { return report.Fig7Codenames(valid), nil }},
-		{"8", func() (string, error) { return report.Fig8MarchMix(valid), nil }},
-		{"9", func() (string, error) { return report.Fig9PencilHead(valid), nil }},
-		{"10", func() (string, error) { return report.Fig10SelectedEP(valid), nil }},
-		{"11", func() (string, error) { return report.Fig11Almond(valid), nil }},
-		{"12", func() (string, error) { return report.Fig12SelectedEE(valid), nil }},
-		{"13", func() (string, error) { return report.Fig13Nodes(valid), nil }},
-		{"14", func() (string, error) { return report.Fig14Chips(valid), nil }},
-		{"15", func() (string, error) { return report.Fig15TwoChip(valid), nil }},
-		{"16", func() (string, error) { return report.Fig16PeakShift(valid), nil }},
-		{"17", func() (string, error) { return report.Fig17MPC(valid), nil }},
-		{"t1", func() (string, error) { return report.TableIMPC(valid), nil }},
-		{"t2", func() (string, error) { return report.TableIIServers(), nil }},
-		{"e1", func() (string, error) { return report.FigE1GapTrend(valid) }},
-		{"e3", func() (string, error) { return report.FigE3QuadratureAblation(valid) }},
-		{"e4", func() (string, error) { return report.FigE4ImprovementRates(valid) }},
-		{"e5", func() (string, error) { return report.FigE5PowerBreakdown(), nil }},
-		{"e6", func() (string, error) { return report.FigE6Projection(valid) }},
-		{"e7", func() (string, error) { return report.FigE7KnightShift(valid) }},
-	}
-	for _, s := range sections {
-		if !selected(s.key) {
-			continue
+	ids := report.FigureIDs()
+	if *figs != "all" {
+		ids = strings.Split(*figs, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
 		}
-		out, err := s.render()
-		if err != nil {
-			return fmt.Errorf("figure %s: %w", s.key, err)
-		}
-		fmt.Fprintln(stdout, out)
 	}
+	out, err := report.Figures(valid, ids)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, out)
 	if *withStats {
 		summary, err := report.StatsSummary(valid)
 		if err != nil {
@@ -144,15 +104,4 @@ func loadRepository(path string, seed int64) (*dataset.Repository, error) {
 		return synth.NewRepository(synth.Config{Seed: seed})
 	}
 	return dataset.ReadPath(path)
-}
-
-func bestSample(rp *dataset.Repository) *dataset.Result {
-	var best *dataset.Result
-	bestEP := -1.0
-	for _, r := range rp.YearRange(2016, 2016).All() {
-		if ep := r.EP(); ep > bestEP {
-			best, bestEP = r, ep
-		}
-	}
-	return best
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"text/tabwriter"
 
@@ -104,7 +105,7 @@ func FigE3QuadratureAblation(rp *dataset.Repository) (string, error) {
 			d = (2 - 2*area) - epCol[i]
 		}
 		diffs = append(diffs, d)
-		if abs := absF(d); abs > maxDiff {
+		if abs := math.Abs(d); abs > maxDiff {
 			maxDiff, maxID = abs, ids[i]
 		}
 	}

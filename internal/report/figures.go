@@ -1,8 +1,10 @@
-// Package report regenerates each of the paper's figures and tables as
-// terminal output: every FigNN function returns the same series/rows
-// the paper plots, rendered as an ASCII chart plus a data table, so the
-// benchmark harness can print a faithful reproduction of the evaluation
-// section. The same chart builders feed the HTML/SVG report (html.go).
+// Package report regenerates each of the paper's figures and tables from
+// the series and rows the paper plots. One ordered table (sections.go)
+// lists every section of the evaluation; each entry renders a chart,
+// drawn as terminal text or SVG, and a data table. The text report
+// (Full), the HTML report (FullHTML), the per-figure renders served over
+// HTTP (Figure, FigureSVG) and specanalyze's selection (Figures) all read
+// that table.
 package report
 
 import (
@@ -20,6 +22,8 @@ import (
 
 // ---- Fig. 1 ----
 
+// fig1Chart plots one server's energy proportionality curve against
+// the ideal proportional line (paper Fig. 1).
 func fig1Chart(r *dataset.Result, c *core.Curve) *chart.LineChart {
 	norm := c.NormalizedPower()
 	utils := core.StandardUtilizations
@@ -36,18 +40,10 @@ func fig1Chart(r *dataset.Result, c *core.Curve) *chart.LineChart {
 	}
 }
 
-// Fig1EPCurve renders the energy proportionality curve of one server
-// against the ideal proportional line (paper Fig. 1).
-func Fig1EPCurve(r *dataset.Result) (string, error) {
-	c, err := r.Curve()
-	if err != nil {
-		return "", err
-	}
-	return fig1Chart(r, c).Render(), nil
-}
-
 // ---- Fig. 2 ----
 
+// fig2Chart scatters per-server EP and EE against hardware availability
+// year (paper Fig. 2).
 func fig2Chart(rp *dataset.Repository) (*chart.LineChart, error) {
 	cs := rp.Columns()
 	hwYears := cs.HWYearCol()
@@ -85,16 +81,6 @@ func fig2Chart(rp *dataset.Repository) (*chart.LineChart, error) {
 	}, nil
 }
 
-// Fig2Evolution renders the per-server EP and EE scatter against
-// hardware availability year (paper Fig. 2).
-func Fig2Evolution(rp *dataset.Repository) (string, error) {
-	lc, err := fig2Chart(rp)
-	if err != nil {
-		return "", err
-	}
-	return lc.Render(), nil
-}
-
 // ---- Fig. 3 / Fig. 4 ----
 
 // trendTable renders the stats columns the paper's Fig. 3/4 report.
@@ -118,6 +104,7 @@ func eeMetric(ys analysis.YearStats) [4]float64 {
 	return [4]float64{ys.EE.Max, ys.EE.Median, ys.EE.Mean, ys.EE.Min}
 }
 
+// fig3Chart plots the per-year EP statistics (paper Fig. 3).
 func fig3Chart(trend []analysis.YearStats) *chart.LineChart {
 	return &chart.LineChart{
 		Title:  "Fig.3 Stats trend of EP (max/median/average/min by hw availability year)",
@@ -127,15 +114,8 @@ func fig3Chart(trend []analysis.YearStats) *chart.LineChart {
 	}
 }
 
-// Fig3EPTrend renders the per-year EP statistics (paper Fig. 3).
-func Fig3EPTrend(rp *dataset.Repository) (string, error) {
-	trend, err := analysis.YearlyTrend(rp)
-	if err != nil {
-		return "", err
-	}
-	return fig3Chart(trend).Render() + trendTable(trend, epMetric, "max\tmedian\taverage\tmin"), nil
-}
-
+// fig4Chart plots the per-year overall-EE and peak-EE statistics (paper
+// Fig. 4).
 func fig4Chart(trend []analysis.YearStats) *chart.LineChart {
 	series := trendSeries(trend, eeMetric)
 	peak := trendSeries(trend, func(ys analysis.YearStats) [4]float64 {
@@ -149,16 +129,6 @@ func fig4Chart(trend []analysis.YearStats) *chart.LineChart {
 		YLabel: "ssj_ops/watt",
 		Series: append(series, peak...),
 	}
-}
-
-// Fig4EETrend renders the per-year overall-EE and peak-EE statistics
-// (paper Fig. 4).
-func Fig4EETrend(rp *dataset.Repository) (string, error) {
-	trend, err := analysis.YearlyTrend(rp)
-	if err != nil {
-		return "", err
-	}
-	return fig4Chart(trend).Render() + trendTable(trend, eeMetric, "max EE\tmed EE\tavg EE\tmin EE"), nil
 }
 
 func trendSeries(trend []analysis.YearStats, metric func(analysis.YearStats) [4]float64) []chart.Series {
@@ -179,6 +149,8 @@ func trendSeries(trend []analysis.YearStats, metric func(analysis.YearStats) [4]
 
 // ---- Fig. 5 ----
 
+// fig5Chart plots the EP cumulative distribution (paper Fig. 5) and
+// returns the headline bucket shares.
 func fig5Chart(rp *dataset.Repository) (*chart.LineChart, string, error) {
 	cdf, _, err := analysis.EPDistribution(rp)
 	if err != nil {
@@ -197,18 +169,9 @@ func fig5Chart(rp *dataset.Repository) (*chart.LineChart, string, error) {
 	return lc, summary, nil
 }
 
-// Fig5EPCDF renders the EP cumulative distribution (paper Fig. 5) with
-// the headline bucket shares.
-func Fig5EPCDF(rp *dataset.Repository) (string, error) {
-	lc, summary, err := fig5Chart(rp)
-	if err != nil {
-		return "", err
-	}
-	return lc.Render() + summary, nil
-}
-
 // ---- Fig. 6 / Fig. 7 / Fig. 8 ----
 
+// fig6Bars counts servers per microarchitecture family (paper Fig. 6).
 func fig6Bars(rp *dataset.Repository) *chart.BarChart {
 	fams := analysis.ByFamily(rp)
 	bars := make([]chart.Bar, 0, len(fams))
@@ -222,12 +185,7 @@ func fig6Bars(rp *dataset.Repository) *chart.BarChart {
 	return &chart.BarChart{Title: "Fig.6 CPU by microarchitecture (server count)", Bars: bars}
 }
 
-// Fig6Families renders the server count per microarchitecture family
-// (paper Fig. 6).
-func Fig6Families(rp *dataset.Repository) string {
-	return fig6Bars(rp).Render()
-}
-
+// fig7Bars shows the mean EP per processor codename (paper Fig. 7).
 func fig7Bars(rp *dataset.Repository) *chart.BarChart {
 	codes := analysis.ByCodename(rp)
 	bars := make([]chart.Bar, 0, len(codes))
@@ -241,12 +199,7 @@ func fig7Bars(rp *dataset.Repository) *chart.BarChart {
 	return &chart.BarChart{Title: "Fig.7 Mean EP by microarchitecture codename", Bars: bars}
 }
 
-// Fig7Codenames renders the mean EP per processor codename (paper
-// Fig. 7).
-func Fig7Codenames(rp *dataset.Repository) string {
-	return fig7Bars(rp).Render()
-}
-
+// fig8Stack shows the 2012-2016 microarchitecture mix (paper Fig. 8).
 func fig8Stack(rp *dataset.Repository) *chart.StackedChart {
 	rows := analysis.MarchMix(rp, 2012, 2016)
 	catSet := make(map[string]bool)
@@ -278,14 +231,10 @@ func fig8Stack(rp *dataset.Repository) *chart.StackedChart {
 	}
 }
 
-// Fig8MarchMix renders the 2012-2016 microarchitecture mix (paper
-// Fig. 8).
-func Fig8MarchMix(rp *dataset.Repository) string {
-	return fig8Stack(rp).Render()
-}
-
 // ---- Fig. 9 / Fig. 11 ----
 
+// fig9Chart is the pencil-head chart: the envelope of all normalized
+// power curves (paper Fig. 9).
 func fig9Chart(rp *dataset.Repository) *chart.LineChart {
 	env := analysis.PowerEnvelope(rp)
 	return &chart.LineChart{
@@ -300,12 +249,8 @@ func fig9Chart(rp *dataset.Repository) *chart.LineChart {
 	}
 }
 
-// Fig9PencilHead renders the pencil-head chart: the envelope of all
-// normalized power curves (paper Fig. 9).
-func Fig9PencilHead(rp *dataset.Repository) string {
-	return fig9Chart(rp).Render()
-}
-
+// fig11Chart is the almond chart: the envelope of all normalized
+// efficiency curves (paper Fig. 11).
 func fig11Chart(rp *dataset.Repository) *chart.LineChart {
 	env := analysis.EEEnvelope(rp)
 	return &chart.LineChart{
@@ -319,14 +264,10 @@ func fig11Chart(rp *dataset.Repository) *chart.LineChart {
 	}
 }
 
-// Fig11Almond renders the almond chart: the envelope of all normalized
-// efficiency curves (paper Fig. 11).
-func Fig11Almond(rp *dataset.Repository) string {
-	return fig11Chart(rp).Render()
-}
-
 // ---- Fig. 10 / Fig. 12 ----
 
+// fig10Chart plots the eleven representative EP curves (paper Fig. 10);
+// fig10Table reports where each crosses the ideal line.
 func fig10Chart(reps []analysis.Representative) *chart.LineChart {
 	series := make([]chart.Series, 0, len(reps)+1)
 	utils := core.StandardUtilizations
@@ -364,13 +305,8 @@ func fig10Table(reps []analysis.Representative) string {
 	return b.String()
 }
 
-// Fig10SelectedEP renders the eleven representative EP curves (paper
-// Fig. 10) together with their ideal-intersection report.
-func Fig10SelectedEP(rp *dataset.Repository) string {
-	reps := analysis.SelectRepresentatives(rp)
-	return fig10Chart(reps).Render() + fig10Table(reps)
-}
-
+// fig12Chart plots the representative efficiency curves (paper Fig. 12);
+// fig12Table reports each server's high-efficiency zone.
 func fig12Chart(reps []analysis.Representative) *chart.LineChart {
 	series := make([]chart.Series, 0, len(reps))
 	utils := core.StandardUtilizations
@@ -400,13 +336,6 @@ func fig12Table(reps []analysis.Representative) string {
 	}
 	tw.Flush()
 	return b.String()
-}
-
-// Fig12SelectedEE renders the representative efficiency curves (paper
-// Fig. 12) with each server's high-efficiency zone.
-func Fig12SelectedEE(rp *dataset.Repository) string {
-	reps := analysis.SelectRepresentatives(rp)
-	return fig12Chart(reps).Render() + fig12Table(reps)
 }
 
 // ---- Fig. 13 / Fig. 14 / Fig. 15 ----
@@ -455,6 +384,8 @@ func Fig15TwoChip(rp *dataset.Repository) string {
 
 // ---- Fig. 16 ----
 
+// fig16Stack shows the chronological shift of the peak-efficiency
+// utilization spot (paper Fig. 16).
 func fig16Stack(rp *dataset.Repository) *chart.StackedChart {
 	rows := analysis.PeakShift(rp)
 	levels := []float64{0.6, 0.7, 0.8, 0.9, 1.0}
@@ -490,12 +421,6 @@ func fig16Summary(rp *dataset.Repository) string {
 	fmt.Fprintf(&b, "2004-2012: peak@100%% %.2f%%   2013-2016: peak@100%% %.2f%%, @80%% %.2f%%, @70%% %.2f%%\n",
 		100*early[1.0], 100*late[1.0], 100*late[0.8], 100*late[0.7])
 	return b.String()
-}
-
-// Fig16PeakShift renders the chronological shift of the peak-efficiency
-// utilization spot (paper Fig. 16).
-func Fig16PeakShift(rp *dataset.Repository) string {
-	return fig16Stack(rp).Render() + fig16Summary(rp)
 }
 
 // ---- Fig. 17 ----

@@ -4,238 +4,35 @@ import (
 	"fmt"
 	"html"
 	"strings"
-	"sync"
 
-	"repro/internal/analysis"
-	"repro/internal/bench"
 	"repro/internal/dataset"
-	"repro/internal/power"
 )
 
-// htmlSection renders one <section> element of the standalone report.
-func htmlSection(id, heading string, svg string, pre string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<section id="%s"><h2>%s</h2>`, id, html.EscapeString(heading))
-	if svg != "" {
-		b.WriteString(svg)
-	}
-	if pre != "" {
-		fmt.Fprintf(&b, "<pre>%s</pre>", html.EscapeString(pre))
-	}
-	b.WriteString("</section>\n")
-	return b.String()
-}
-
 // FullHTML renders the paper's complete evaluation as one standalone
-// HTML document: every figure as an inline SVG chart with its data
-// table, plus the headline statistics and extension figures. No
-// scripts, no external assets — the file is self-contained and safe to
-// open anywhere. Like Full, the sections render concurrently from a
-// declarative table and assemble in order.
+// HTML document: every section of the report table, in the order Full
+// prints them, with each chart as an inline SVG followed by its table.
+// No scripts, no external assets — the file is self-contained and safe
+// to open anywhere.
 func FullHTML(rp *dataset.Repository, opts Options) (string, error) {
-	body, err := renderSections(htmlSections(rp, opts), "")
+	body, err := renderAll(rp, opts, inReport(opts), htmlSection)
 	if err != nil {
 		return "", err
 	}
 	return htmlHeader + body + htmlFooter, nil
 }
 
-// htmlSections is the declarative section table of the HTML report.
-// Aggregates feeding several sections — the yearly trend (Figs. 3/4),
-// the representative servers (Figs. 10/12), the placement fleet, and
-// server #4's sweep (Figs. 20/21) — are computed once and shared.
-func htmlSections(rp *dataset.Repository, opts Options) []sectionFunc {
-	var secs []sectionFunc
-
-	// Fig. 1.
-	if sample := findSample(rp); sample != nil {
-		secs = append(secs, func() (string, error) {
-			c, err := sample.Curve()
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("fig1", "Fig. 1 — Energy proportionality curve", fig1Chart(sample, c).RenderSVG(), ""), nil
-		})
+// htmlSection renders one section as a <section> element.
+func htmlSection(s *section, ch chartForm, table string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `<section id="%s"><h2>%s</h2>`, s.anchor, html.EscapeString(s.title))
+	if ch != nil {
+		b.WriteString(ch.RenderSVG())
 	}
-	// Fig. 2.
-	secs = append(secs, func() (string, error) {
-		lc2, err := fig2Chart(rp)
-		if err != nil {
-			return "", err
-		}
-		return htmlSection("fig2", "Fig. 2 — EP and EE evolution", lc2.RenderSVG(), ""), nil
-	})
-	// Fig. 3 / 4 share one yearly-trend pass.
-	trend := sync.OnceValues(func() ([]analysis.YearStats, error) { return analysis.YearlyTrend(rp) })
-	secs = append(secs,
-		func() (string, error) {
-			tr, err := trend()
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("fig3", "Fig. 3 — EP statistics by year", fig3Chart(tr).RenderSVG(),
-				trendTable(tr, epMetric, "max\tmedian\taverage\tmin")), nil
-		},
-		func() (string, error) {
-			tr, err := trend()
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("fig4", "Fig. 4 — EE statistics by year", fig4Chart(tr).RenderSVG(),
-				trendTable(tr, eeMetric, "max EE\tmed EE\tavg EE\tmin EE")), nil
-		},
-		// Fig. 5.
-		func() (string, error) {
-			lc5, summary5, err := fig5Chart(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("fig5", "Fig. 5 — CDF of energy proportionality", lc5.RenderSVG(), summary5), nil
-		},
-		// Fig. 6-8.
-		func() (string, error) {
-			return htmlSection("fig6", "Fig. 6 — Servers by microarchitecture", fig6Bars(rp).RenderSVG(), ""), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig7", "Fig. 7 — Mean EP by codename", fig7Bars(rp).RenderSVG(), ""), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig8", "Fig. 8 — Microarchitecture mix 2012-2016", fig8Stack(rp).RenderSVG(), ""), nil
-		},
-		// Fig. 9-12; Figs. 10/12 share the representative selection.
-		func() (string, error) {
-			return htmlSection("fig9", "Fig. 9 — Pencil-head chart (EP envelope)", fig9Chart(rp).RenderSVG(), ""), nil
-		},
-	)
-	reps := sync.OnceValue(func() []analysis.Representative { return analysis.SelectRepresentatives(rp) })
-	secs = append(secs,
-		func() (string, error) {
-			r := reps()
-			return htmlSection("fig10", "Fig. 10 — Selected EP curves", fig10Chart(r).RenderSVG(), fig10Table(r)), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig11", "Fig. 11 — Almond chart (EE envelope)", fig11Chart(rp).RenderSVG(), ""), nil
-		},
-		func() (string, error) {
-			r := reps()
-			return htmlSection("fig12", "Fig. 12 — Selected EE curves", fig12Chart(r).RenderSVG(), fig12Table(r)), nil
-		},
-		// Fig. 13-17 + Table I/II as preformatted tables.
-		func() (string, error) {
-			return htmlSection("fig13", "Fig. 13 — Economies of scale by node count", "", Fig13Nodes(rp)), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig14", "Fig. 14 — Single-node servers by chip count", "", Fig14Chips(rp)), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig15", "Fig. 15 — 2-chip servers vs all", "", Fig15TwoChip(rp)), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig16", "Fig. 16 — Peak-efficiency utilization shift", fig16Stack(rp).RenderSVG(), fig16Summary(rp)), nil
-		},
-		func() (string, error) {
-			return htmlSection("tab1", "Table I — Memory per core statistics", "", TableIMPC(rp)), nil
-		},
-		func() (string, error) {
-			return htmlSection("fig17", "Fig. 17 — EP and EE by memory per core", "", Fig17MPC(rp)), nil
-		},
-		func() (string, error) {
-			return htmlSection("tab2", "Table II — Tested servers", "", TableIIServers()), nil
-		},
-		func() (string, error) {
-			stats, err := StatsSummary(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("stats", "Headline statistics", "", stats), nil
-		},
-		// Extensions.
-		func() (string, error) {
-			e1, err := FigE1GapTrend(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("e1", "Extension E1 — Proportionality gap by region", "", e1), nil
-		},
-	)
-	if fleet := recentFleet(rp, 12); len(fleet) > 1 {
-		secs = append(secs, func() (string, error) {
-			e2, err := FigE2ClusterPolicies(fleet)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("e2", "Extension E2 — Cluster-wide EP by policy", "", e2), nil
-		})
+	if table != "" {
+		fmt.Fprintf(&b, "<pre>%s</pre>", html.EscapeString(table))
 	}
-	secs = append(secs,
-		func() (string, error) {
-			e3, err := FigE3QuadratureAblation(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("e3", "Extension E3 — Quadrature ablation", "", e3), nil
-		},
-		func() (string, error) {
-			e4, err := FigE4ImprovementRates(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("e4", "Extension E4 — Per-era improvement rates", "", e4), nil
-		},
-		func() (string, error) {
-			return htmlSection("e5", "Extension E5 — Component power breakdown", "", FigE5PowerBreakdown()), nil
-		},
-		func() (string, error) {
-			e6, err := FigE6Projection(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("e6", "Extension E6 — Projection past 2016", "", e6), nil
-		},
-		func() (string, error) {
-			e7, err := FigE7KnightShift(rp)
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("e7", "Extension E7 — KnightShift heterogeneity", "", e7), nil
-		},
-	)
-
-	// Hardware experiments; server #4's sweep feeds Figs. 20 and 21.
-	if opts.Sweeps {
-		servers := power.TableIIServers()
-		titles := map[int]string{
-			0: "Fig. 18 — Server #1 memory × frequency sweep",
-			1: "Fig. 19 — Server #2 memory × frequency sweep",
-			3: "Fig. 20 — Server #4 memory × frequency sweep",
-		}
-		sweep4 := sharedSweep(servers[3], opts.Seed, opts.SweepSeconds)
-		sweeps := map[int]func() ([]bench.SweepPoint, error){
-			0: sharedSweep(servers[0], opts.Seed, opts.SweepSeconds),
-			1: sharedSweep(servers[1], opts.Seed, opts.SweepSeconds),
-			3: sweep4,
-		}
-		for _, idx := range []int{0, 1, 3} {
-			idx := idx
-			secs = append(secs, func() (string, error) {
-				pts, err := sweeps[idx]()
-				if err != nil {
-					return "", err
-				}
-				id := fmt.Sprintf("fig%d", 18+map[int]int{0: 0, 1: 1, 3: 2}[idx])
-				return htmlSection(id, titles[idx], sweepChart(titles[idx], pts).RenderSVG(), sweepTable(pts)), nil
-			})
-		}
-		secs = append(secs, func() (string, error) {
-			pts, err := sweep4()
-			if err != nil {
-				return "", err
-			}
-			return htmlSection("fig21", "Fig. 21 — Server #4 EE and peak power",
-				fig21Chart(pts).RenderSVG(), fig21Table(pts)), nil
-		})
-	}
-	return secs
+	b.WriteString("</section>\n")
+	return b.String()
 }
 
 const htmlHeader = `<!DOCTYPE html>

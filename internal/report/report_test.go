@@ -3,10 +3,12 @@ package report
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/par"
@@ -29,13 +31,19 @@ func validCorpus(t *testing.T) *dataset.Repository {
 	return testCorpus
 }
 
+// mustFigure renders one selector as text, failing the test on error.
+func mustFigure(t *testing.T, rp *dataset.Repository, id string) string {
+	t.Helper()
+	out, err := Figure(rp, id)
+	if err != nil {
+		t.Fatalf("Figure(%q): %v", id, err)
+	}
+	return out
+}
+
 func TestFig1SampleServer(t *testing.T) {
 	rp := validCorpus(t)
-	sample := findSample(rp)
-	if sample == nil {
-		t.Fatal("sample server not found")
-	}
-	out, err := Fig1EPCurve(sample)
+	out, err := Figure(rp, "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,22 +53,89 @@ func TestFig1SampleServer(t *testing.T) {
 	if !strings.Contains(out, "score 12212") {
 		t.Errorf("sample score missing:\n%s", out[:200])
 	}
-	bad := &dataset.Result{ID: "broken"}
-	if _, err := Fig1EPCurve(bad); err == nil {
-		t.Error("invalid result accepted")
+	// A sample server whose curve cannot be built is an error, not an
+	// absent figure.
+	bad := findSample(rp).Clone()
+	bad.ActiveIdleWatts = -1
+	for _, render := range []func(*dataset.Repository, string) (string, error){Figure, FigureSVG} {
+		_, err := render(dataset.NewRepository([]*dataset.Result{bad}), "1")
+		if err == nil || errors.Is(err, analysis.ErrTooFewServers) {
+			t.Errorf("invalid sample result: err = %v, want a curve error", err)
+		}
+	}
+}
+
+// TestFig1WithoutSample: a corpus with no 2016 server cannot supply
+// Fig. 1. Figure and FigureSVG say so with an error matching
+// analysis.ErrTooFewServers; the multi-section renders behind Full,
+// FullHTML and Figures leave it out. (Such a corpus cannot render a
+// whole report: Fig. E6 projects from the 2016 servers.)
+func TestFig1WithoutSample(t *testing.T) {
+	rp := validCorpus(t).YearRange(2004, 2015)
+	for _, render := range []func(*dataset.Repository, string) (string, error){Figure, FigureSVG} {
+		_, err := render(rp, "1")
+		if !errors.Is(err, analysis.ErrTooFewServers) || !strings.Contains(err.Error(), "report: no 2016 sample server for Fig. 1") {
+			t.Errorf("err = %v, want the no-sample error matching ErrTooFewServers", err)
+		}
+	}
+	out, err := Figures(rp, []string{"1", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig2, err := Figure(rp, "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != fig2+"\n" {
+		t.Error("Figures with an absent Fig. 1 is not Fig. 2 alone")
+	}
+	first2 := func(s *section) bool { return s.anchor == "fig1" || s.anchor == "fig2" }
+	html, err := renderAll(rp, Options{}, first2, htmlSection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(html, `id="fig1"`) || !strings.HasPrefix(html, `<section id="fig2">`) {
+		t.Errorf("HTML sections without a 2016 server:\n%.200s", html)
+	}
+}
+
+// TestFiguresSelection pins the multi-selector render: table order
+// whatever the argument order, a blank line after each section, and an
+// unknown or report-only selector is an error naming the valid ones.
+func TestFiguresSelection(t *testing.T) {
+	rp := validCorpus(t)
+	out, err := Figures(rp, []string{"17", "t1", "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, id := range []string{"3", "t1", "17"} {
+		fig, err := Figure(rp, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(fig + "\n")
+	}
+	if out != want.String() {
+		t.Error("Figures is not the table-ordered selection, each followed by a blank line")
+	}
+	for _, id := range []string{"99", "e2", "18", ""} {
+		if _, err := Figures(rp, []string{"3", id}); err == nil || !strings.Contains(err.Error(), "valid: 1, 10") {
+			t.Errorf("Figures(%q) err = %v, want an unknown-figure error listing the selectors", id, err)
+		}
 	}
 }
 
 func TestTrendFigures(t *testing.T) {
 	rp := validCorpus(t)
-	fig2, err := Fig2Evolution(rp)
+	fig2, err := Figure(rp, "2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(fig2, "Fig.2") || !strings.Contains(fig2, "n=477") {
 		t.Error("Fig.2 header wrong")
 	}
-	fig3, err := Fig3EPTrend(rp)
+	fig3, err := Figure(rp, "3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +144,14 @@ func TestTrendFigures(t *testing.T) {
 			t.Errorf("Fig.3 missing %q", want)
 		}
 	}
-	fig4, err := Fig4EETrend(rp)
+	fig4, err := Figure(rp, "4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(fig4, "peak EE") {
 		t.Error("Fig.4 missing peak EE series")
 	}
-	fig5, err := Fig5EPCDF(rp)
+	fig5, err := Figure(rp, "5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +162,17 @@ func TestTrendFigures(t *testing.T) {
 
 func TestGroupingFigures(t *testing.T) {
 	rp := validCorpus(t)
-	fig6 := Fig6Families(rp)
+	fig6 := mustFigure(t, rp, "6")
 	for _, want := range []string{"Fig.6", "Sandy Bridge", "Netburst", "mean EP"} {
 		if !strings.Contains(fig6, want) {
 			t.Errorf("Fig.6 missing %q", want)
 		}
 	}
-	fig7 := Fig7Codenames(rp)
+	fig7 := mustFigure(t, rp, "7")
 	if !strings.Contains(fig7, "Sandy Bridge EN") || !strings.Contains(fig7, "Penryn") {
 		t.Error("Fig.7 missing codenames")
 	}
-	fig8 := Fig8MarchMix(rp)
+	fig8 := mustFigure(t, rp, "8")
 	if !strings.Contains(fig8, "2012") || !strings.Contains(fig8, "legend:") {
 		t.Error("Fig.8 malformed")
 	}
@@ -105,11 +180,11 @@ func TestGroupingFigures(t *testing.T) {
 
 func TestEnvelopeFigures(t *testing.T) {
 	rp := validCorpus(t)
-	fig9 := Fig9PencilHead(rp)
+	fig9 := mustFigure(t, rp, "9")
 	if !strings.Contains(fig9, "EP=1.05") || !strings.Contains(fig9, "EP=0.18") {
 		t.Errorf("Fig.9 envelope EPs missing:\n%s", fig9)
 	}
-	fig10 := Fig10SelectedEP(rp)
+	fig10 := mustFigure(t, rp, "10")
 	if !strings.Contains(fig10, "2012 EP=1.05") || !strings.Contains(fig10, "intersections") {
 		t.Error("Fig.10 malformed")
 	}
@@ -123,11 +198,11 @@ func TestEnvelopeFigures(t *testing.T) {
 	if !foundDouble {
 		t.Errorf("Fig.10 double-crossing row missing:\n%s", fig10)
 	}
-	fig11 := Fig11Almond(rp)
+	fig11 := mustFigure(t, rp, "11")
 	if !strings.Contains(fig11, "Fig.11") {
 		t.Error("Fig.11 malformed")
 	}
-	fig12 := Fig12SelectedEE(rp)
+	fig12 := mustFigure(t, rp, "12")
 	if !strings.Contains(fig12, "peak EE spot") {
 		t.Error("Fig.12 malformed")
 	}
@@ -147,7 +222,7 @@ func TestScaleFigures(t *testing.T) {
 	if !strings.Contains(fig15, "aggregate advantage") {
 		t.Error("Fig.15 malformed")
 	}
-	fig16 := Fig16PeakShift(rp)
+	fig16 := mustFigure(t, rp, "16")
 	if !strings.Contains(fig16, "2013-2016") || !strings.Contains(fig16, "overall") {
 		t.Error("Fig.16 malformed")
 	}
@@ -476,7 +551,7 @@ func TestFullHTMLWorkerInvariant(t *testing.T) {
 // from one shared server #4 sweep and stay consistent with a direct
 // sweep of the same grid.
 func TestHardwareExperimentsSharedSweep(t *testing.T) {
-	out, err := HardwareExperiments(2, 5)
+	out, err := Full(validCorpus(t), Options{Sweeps: true, SweepSeconds: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +561,11 @@ func TestHardwareExperimentsSharedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Fig21PowerAndEE(pts)
-	if !strings.Contains(out, want) {
+	if !strings.Contains(out, Fig21PowerAndEE(pts)) {
 		t.Error("Fig.21 does not match server #4's sweep")
+	}
+	if !strings.Contains(out, SweepFigure("Fig.20 EE vs memory per core × frequency on #4 (ThinkServer RD450)", pts)) {
+		t.Error("Fig.20 does not match server #4's sweep")
 	}
 	for _, fig := range []string{"Fig.18", "Fig.19", "Fig.20", "Fig.21"} {
 		if !strings.Contains(out, fig) {

@@ -1,124 +1,37 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/dataset"
 )
 
-// figureEntry couples one figure selector with its render forms. svg is
-// nil for table-style figures that have no chart form.
-type figureEntry struct {
-	title string
-	text  func(rp *dataset.Repository) (string, error)
-	svg   func(rp *dataset.Repository) (string, error)
+// ErrNoSVG marks figure selectors that only exist in tabular text form.
+var ErrNoSVG = errors.New("no SVG form")
+
+// figure finds the report-table entry a selector names.
+func figure(id string) (*section, error) {
+	for i := range sections {
+		if id != "" && sections[i].id == id {
+			return &sections[i], nil
+		}
+	}
+	return nil, fmt.Errorf("report: unknown figure %q (valid: %s)", id, strings.Join(FigureIDs(), ", "))
 }
 
-// figureRegistry maps the selectors the CLIs and the serving layer
-// accept ("1".."17", "t1", "t2", "e1".."e7") to their renderers. Sweep
-// figures (18-21) are excluded: they are parameterized by seed and
-// interval, not by the corpus, and are served through the full report.
-var figureRegistry = map[string]figureEntry{
-	"1": {"Fig. 1 — Energy proportionality curve",
-		func(rp *dataset.Repository) (string, error) {
-			sample := findSample(rp)
-			if sample == nil {
-				return "", fmt.Errorf("report: no 2016 sample server for Fig. 1")
-			}
-			return Fig1EPCurve(sample)
-		},
-		func(rp *dataset.Repository) (string, error) {
-			sample := findSample(rp)
-			if sample == nil {
-				return "", fmt.Errorf("report: no 2016 sample server for Fig. 1")
-			}
-			c, err := sample.Curve()
-			if err != nil {
-				return "", err
-			}
-			return fig1Chart(sample, c).RenderSVG(), nil
-		}},
-	"2": {"Fig. 2 — EP and EE evolution", Fig2Evolution,
-		func(rp *dataset.Repository) (string, error) {
-			lc, err := fig2Chart(rp)
-			if err != nil {
-				return "", err
-			}
-			return lc.RenderSVG(), nil
-		}},
-	"3": {"Fig. 3 — EP statistics by year", Fig3EPTrend,
-		func(rp *dataset.Repository) (string, error) {
-			trend, err := analysis.YearlyTrend(rp)
-			if err != nil {
-				return "", err
-			}
-			return fig3Chart(trend).RenderSVG(), nil
-		}},
-	"4": {"Fig. 4 — EE statistics by year", Fig4EETrend,
-		func(rp *dataset.Repository) (string, error) {
-			trend, err := analysis.YearlyTrend(rp)
-			if err != nil {
-				return "", err
-			}
-			return fig4Chart(trend).RenderSVG(), nil
-		}},
-	"5": {"Fig. 5 — CDF of energy proportionality", Fig5EPCDF,
-		func(rp *dataset.Repository) (string, error) {
-			lc, _, err := fig5Chart(rp)
-			if err != nil {
-				return "", err
-			}
-			return lc.RenderSVG(), nil
-		}},
-	"6": {"Fig. 6 — Servers by microarchitecture", noErr(Fig6Families),
-		func(rp *dataset.Repository) (string, error) { return fig6Bars(rp).RenderSVG(), nil }},
-	"7": {"Fig. 7 — Mean EP by codename", noErr(Fig7Codenames),
-		func(rp *dataset.Repository) (string, error) { return fig7Bars(rp).RenderSVG(), nil }},
-	"8": {"Fig. 8 — Microarchitecture mix 2012-2016", noErr(Fig8MarchMix),
-		func(rp *dataset.Repository) (string, error) { return fig8Stack(rp).RenderSVG(), nil }},
-	"9": {"Fig. 9 — Pencil-head chart (EP envelope)", noErr(Fig9PencilHead),
-		func(rp *dataset.Repository) (string, error) { return fig9Chart(rp).RenderSVG(), nil }},
-	"10": {"Fig. 10 — Selected EP curves", noErr(Fig10SelectedEP),
-		func(rp *dataset.Repository) (string, error) {
-			return fig10Chart(analysis.SelectRepresentatives(rp)).RenderSVG(), nil
-		}},
-	"11": {"Fig. 11 — Almond chart (EE envelope)", noErr(Fig11Almond),
-		func(rp *dataset.Repository) (string, error) { return fig11Chart(rp).RenderSVG(), nil }},
-	"12": {"Fig. 12 — Selected EE curves", noErr(Fig12SelectedEE),
-		func(rp *dataset.Repository) (string, error) {
-			return fig12Chart(analysis.SelectRepresentatives(rp)).RenderSVG(), nil
-		}},
-	"13": {"Fig. 13 — Economies of scale by node count", noErr(Fig13Nodes), nil},
-	"14": {"Fig. 14 — Single-node servers by chip count", noErr(Fig14Chips), nil},
-	"15": {"Fig. 15 — 2-chip servers vs all", noErr(Fig15TwoChip), nil},
-	"16": {"Fig. 16 — Peak-efficiency utilization shift", noErr(Fig16PeakShift),
-		func(rp *dataset.Repository) (string, error) { return fig16Stack(rp).RenderSVG(), nil }},
-	"17": {"Fig. 17 — EP and EE by memory per core", noErr(Fig17MPC), nil},
-	"t1": {"Table I — Memory per core statistics", noErr(TableIMPC), nil},
-	"t2": {"Table II — Tested servers",
-		func(*dataset.Repository) (string, error) { return TableIIServers(), nil }, nil},
-	"e1": {"Extension E1 — Proportionality gap by region", FigE1GapTrend, nil},
-	"e3": {"Extension E3 — Quadrature ablation", FigE3QuadratureAblation, nil},
-	"e4": {"Extension E4 — Per-era improvement rates", FigE4ImprovementRates, nil},
-	"e5": {"Extension E5 — Component power breakdown",
-		func(*dataset.Repository) (string, error) { return FigE5PowerBreakdown(), nil }, nil},
-	"e6": {"Extension E6 — Projection past 2016", FigE6Projection, nil},
-	"e7": {"Extension E7 — KnightShift heterogeneity", FigE7KnightShift, nil},
-}
-
-// noErr adapts the infallible figure renderers to the registry
-// signature.
-func noErr(fn func(*dataset.Repository) string) func(*dataset.Repository) (string, error) {
-	return func(rp *dataset.Repository) (string, error) { return fn(rp), nil }
-}
-
-// FigureIDs lists every selector Figure accepts, sorted.
+// FigureIDs lists every selector Figure accepts, sorted: the paper's
+// figures "1".."17", its tables "t1" and "t2", and the extensions "e1"
+// and "e3".."e7". The report-only sections (the headline statistics,
+// E2 and the sweep figures 18-21) have none.
 func FigureIDs() []string {
-	out := make([]string, 0, len(figureRegistry))
-	for id := range figureRegistry {
-		out = append(out, id)
+	var out []string
+	for _, s := range sections {
+		if s.id != "" {
+			out = append(out, s.id)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -126,34 +39,64 @@ func FigureIDs() []string {
 
 // FigureTitle returns the display title of a figure selector ("" for an
 // unknown id).
-func FigureTitle(id string) string { return figureRegistry[id].title }
+func FigureTitle(id string) string {
+	s, err := figure(id)
+	if err != nil {
+		return ""
+	}
+	return s.title
+}
 
 // FigureHasSVG reports whether a selector has a chart-backed SVG form.
-func FigureHasSVG(id string) bool { return figureRegistry[id].svg != nil }
+func FigureHasSVG(id string) bool {
+	s, err := figure(id)
+	return err == nil && s.chart
+}
 
 // Figure renders one corpus figure or table by selector as text. The
 // repository should already be filtered to valid results, matching the
-// full report.
+// full report. A figure the corpus cannot supply (Fig. 1 without a 2016
+// server) is an error matching analysis.ErrTooFewServers.
 func Figure(rp *dataset.Repository, id string) (string, error) {
-	e, ok := figureRegistry[id]
-	if !ok {
-		return "", fmt.Errorf("report: unknown figure %q", id)
+	s, err := figure(id)
+	if err != nil {
+		return "", err
 	}
-	return e.text(rp)
+	ch, table, err := s.render(newRenderCtx(rp, Options{}))
+	if err != nil {
+		return "", err
+	}
+	return text(ch, table), nil
 }
 
 // FigureSVG renders one chart-backed figure as a standalone SVG
 // element. Table-style figures report ErrNoSVG.
 func FigureSVG(rp *dataset.Repository, id string) (string, error) {
-	e, ok := figureRegistry[id]
-	if !ok {
-		return "", fmt.Errorf("report: unknown figure %q", id)
+	s, err := figure(id)
+	if err != nil {
+		return "", err
 	}
-	if e.svg == nil {
+	if !s.chart {
 		return "", fmt.Errorf("report: figure %q: %w", id, ErrNoSVG)
 	}
-	return e.svg(rp)
+	ch, _, err := s.render(newRenderCtx(rp, Options{}))
+	if err != nil {
+		return "", err
+	}
+	return ch.RenderSVG(), nil
 }
 
-// ErrNoSVG marks figure selectors that only exist in tabular text form.
-var ErrNoSVG = fmt.Errorf("no SVG form")
+// Figures renders the selected figures as text in report order, whatever
+// the order of ids, each followed by a blank line. A selected figure the
+// corpus cannot supply is left out, as in Full; an unknown id is an
+// error.
+func Figures(rp *dataset.Repository, ids []string) (string, error) {
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if _, err := figure(id); err != nil {
+			return "", err
+		}
+		want[id] = true
+	}
+	return renderAll(rp, Options{}, func(s *section) bool { return want[s.id] }, textBlock)
+}
