@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -45,10 +46,15 @@ type Correlations struct {
 
 // ComputeCorrelations evaluates all pairwise correlations. The metric
 // vectors come from the repository's precomputed columns; no curves are
-// rebuilt on the warm path.
+// rebuilt on the warm path. Fewer than two servers, or a metric with no
+// variance (which leaves a coefficient undefined), is an error matching
+// ErrTooFewServers.
 func ComputeCorrelations(rp *dataset.Repository) (Correlations, error) {
 	if err := firstCurveError(rp); err != nil {
 		return Correlations{}, fmt.Errorf("analysis: correlations: %w", err)
+	}
+	if rp.Len() < 2 {
+		return Correlations{}, tooFew("analysis: correlations need at least 2 servers, have %d", rp.Len())
 	}
 	eps := rp.EPs()
 	ees := rp.OverallEEs()
@@ -75,6 +81,11 @@ func ComputeCorrelations(rp *dataset.Repository) (Correlations, error) {
 	}
 	if out.EPvsPeakOverFull, err = stats.Pearson(eps, ratios); err != nil {
 		return Correlations{}, err
+	}
+	for _, r := range []float64{out.EPvsOverallEE, out.EPvsIdleFraction, out.EPvsDynamicRange, out.EPvsPeakOffset, out.EPvsPeakOverFull} {
+		if math.IsNaN(r) {
+			return Correlations{}, tooFew("analysis: correlations undefined over %d servers: a metric has no variance", out.N)
+		}
 	}
 	return out, nil
 }

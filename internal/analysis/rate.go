@@ -55,14 +55,18 @@ func eraRate(cs *dataset.ColumnStore, era [2]int) (EraRate, error) {
 	hwYears := cs.HWYearCol()
 	epCol, eeCol := cs.EPCol(), cs.OverallEECol()
 	curveOK := cs.CurveOKCol()
-	n := 0
+	n, first, last := 0, era[1], era[0]
 	for _, y := range hwYears {
 		if int(y) >= era[0] && int(y) <= era[1] {
 			n++
+			first, last = min(first, int(y)), max(last, int(y))
 		}
 	}
 	if n < 3 {
 		return EraRate{}, tooFew("analysis: era %d-%d has only %d servers", era[0], era[1], n)
+	}
+	if first == last {
+		return EraRate{}, tooFew("analysis: era %d-%d servers all date from %d; a rate needs two years", era[0], era[1], first)
 	}
 	years := make([]float64, 0, n)
 	eps := make([]float64, 0, n)
