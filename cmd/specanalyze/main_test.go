@@ -90,6 +90,34 @@ func TestFig1MatchesReport(t *testing.T) {
 	}
 }
 
+// TestJSONFromFileGolden pins `specanalyze -in F -json` on the
+// 5,000-server seed-3 fleet written as CSV.
+func TestJSONFromFileGolden(t *testing.T) {
+	results, err := synth.GenerateFleet(synth.FleetConfig{Seed: 3, Servers: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(f, results); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-in", path, "-json"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "9602862827873d855500bf831cc945cbb3bbb96ed3c67281349d6229840a52d1"
+	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want {
+		t.Errorf("-json digest = %s, want %s (output drifted)", got, want)
+	}
+}
+
 // TestRunFigSelectors: an unknown selector is an error naming the valid
 // ones, and spaces around selectors are ignored.
 func TestRunFigSelectors(t *testing.T) {
