@@ -19,6 +19,14 @@ type Series struct {
 	PointsOnly bool
 }
 
+// finite reports whether point i has finite coordinates. Charts skip
+// the other points and every segment that touches one: a NaN or
+// infinite coordinate has no position on the plot.
+func (s Series) finite(i int) bool {
+	x, y := s.X[i], s.Y[i]
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
+}
+
 // markers cycles when series don't specify one.
 var markers = []rune{'*', 'o', '+', 'x', '#', '@', '%', '~', '^', '&', '=', '$'}
 
@@ -54,7 +62,7 @@ func (c *LineChart) Render() string {
 	any := false
 	for _, s := range c.Series {
 		for i := range s.X {
-			if math.IsNaN(s.X[i]) || math.IsNaN(s.Y[i]) {
+			if !s.finite(i) {
 				continue
 			}
 			any = true
@@ -106,6 +114,9 @@ func (c *LineChart) Render() string {
 		// Segments first so explicit points overwrite them.
 		if !s.PointsOnly {
 			for i := 1; i < len(s.X); i++ {
+				if !s.finite(i-1) || !s.finite(i) {
+					continue
+				}
 				c0, c1 := toCol(s.X[i-1]), toCol(s.X[i])
 				if c1 < c0 {
 					c0, c1 = c1, c0
@@ -124,7 +135,9 @@ func (c *LineChart) Render() string {
 			}
 		}
 		for i := range s.X {
-			set(toRow(s.Y[i]), toCol(s.X[i]), m)
+			if s.finite(i) {
+				set(toRow(s.Y[i]), toCol(s.X[i]), m)
+			}
 		}
 	}
 

@@ -58,7 +58,7 @@ func (c *LineChart) RenderSVG() string {
 	any := false
 	for _, s := range c.Series {
 		for i := range s.X {
-			if math.IsNaN(s.X[i]) || math.IsNaN(s.Y[i]) {
+			if !s.finite(i) {
 				continue
 			}
 			any = true
@@ -96,17 +96,31 @@ func (c *LineChart) RenderSVG() string {
 	drawAxes(&b, xmin, xmax, ymin, ymax, c.XLabel, c.YLabel)
 	for si, s := range c.Series {
 		color := palette[si%len(palette)]
-		if !s.PointsOnly && len(s.X) > 1 {
+		if !s.PointsOnly {
+			// One polyline per run of finite points, so a non-finite
+			// point breaks the line instead of entering a coordinate.
 			var pts []string
+			flush := func() {
+				if len(pts) > 1 {
+					fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.6"/>`,
+						strings.Join(pts, " "), color)
+				}
+				pts = pts[:0]
+			}
 			for i := range s.X {
+				if !s.finite(i) {
+					flush()
+					continue
+				}
 				pts = append(pts, fmt.Sprintf("%.1f,%.1f", toX(s.X[i]), toY(s.Y[i])))
 			}
-			fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.6"/>`,
-				strings.Join(pts, " "), color)
+			flush()
 		}
 		for i := range s.X {
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="%.1f" fill="%s"/>`,
-				toX(s.X[i]), toY(s.Y[i]), markerRadius(s), color)
+			if s.finite(i) {
+				fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="%.1f" fill="%s"/>`,
+					toX(s.X[i]), toY(s.Y[i]), markerRadius(s), color)
+			}
 		}
 	}
 	drawLegend(&b, c.Series)

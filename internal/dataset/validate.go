@@ -38,6 +38,9 @@ func Validate(r *Result) error {
 		return fail("expected 10 load levels, got %d", len(r.Levels))
 	}
 	for i, lv := range r.Levels {
+		if !isFinite(lv.TargetLoad) || !isFinite(lv.ActualLoad) || !isFinite(lv.OpsPerSec) || !isFinite(lv.AvgPowerWatts) {
+			return fail("level %d has a non-finite measurement", i)
+		}
 		want := float64(i+1) / 10
 		if math.Abs(lv.TargetLoad-want) > 1e-9 {
 			return fail("level %d target load %v, want %v", i, lv.TargetLoad, want)
@@ -55,6 +58,9 @@ func Validate(r *Result) error {
 		if i > 0 && lv.OpsPerSec <= r.Levels[i-1].OpsPerSec {
 			return fail("throughput not increasing at level %d", i)
 		}
+	}
+	if !isFinite(r.ActiveIdleWatts) {
+		return fail("non-finite active idle power %v", r.ActiveIdleWatts)
 	}
 	if r.ActiveIdleWatts <= 0 {
 		return fail("non-positive active idle power %v", r.ActiveIdleWatts)
@@ -84,7 +90,7 @@ func Validate(r *Result) error {
 	if r.CoresPerChip < 1 {
 		return fail("cores per chip %d", r.CoresPerChip)
 	}
-	if r.MemoryGB <= 0 {
+	if !isFinite(r.MemoryGB) || r.MemoryGB <= 0 {
 		return fail("memory %v GB", r.MemoryGB)
 	}
 	if _, err := r.Curve(); err != nil {
@@ -92,6 +98,10 @@ func Validate(r *Result) error {
 	}
 	return nil
 }
+
+// isFinite reports whether v is neither NaN nor infinite. Validate
+// needs it because NaN fails every ordered comparison it makes.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // IsCompliant reports whether the result passes Validate.
 func IsCompliant(r *Result) bool { return Validate(r) == nil }
