@@ -59,22 +59,21 @@ type (
 	FormFactor = dataset.FormFactor
 )
 
-// NewRepository wraps results in a repository.
+// NewRepository copies results into a column store and wraps it in a
+// repository. Later edits to results are not seen, and the results All
+// returns are the repository's own row views, not the given pointers.
 //
-// Repositories memoize aggressively: every Result caches its validated
-// curve and derived metrics (EP, overall EE, peak EE, idle fraction,
-// dynamic range) on first access, and the repository additionally keeps
-// index-aligned metric columns that EPs, OverallEEs, SortByEP, and the
-// envelope/correlation analyses read directly. Caches build themselves
-// lazily and in parallel; call PrecomputeMetrics to pay the cold cost up
-// front. Results must not be mutated after construction — Clone a
-// result to obtain an independently mutable copy with a fresh cache.
+// The repository keeps index-aligned metric columns (EP, overall EE,
+// peak EE, idle fraction, dynamic range, …) that EPs, OverallEEs,
+// SortByEP, and the envelope/correlation analyses read directly. The
+// columns build themselves lazily and in parallel on first use; call
+// PrecomputeMetrics to pay the cold cost up front. Each row view caches
+// its own validated curve and metrics on first access.
 func NewRepository(results []*Result) *Repository { return dataset.NewRepository(results) }
 
-// PrecomputeMetrics eagerly builds rp's cached metric columns (and each
-// result's memoized metric bundle) across all CPUs, so subsequent
-// analyses run entirely on warm caches. Optional: every accessor builds
-// the caches on first use anyway.
+// PrecomputeMetrics eagerly builds rp's metric columns across all CPUs,
+// so subsequent column analyses run on warm columns. Optional: every
+// accessor builds the columns on first use anyway.
 func PrecomputeMetrics(rp *Repository) { rp.Precompute() }
 
 // Validate checks one result against the SPEC compliance rules.
@@ -92,16 +91,6 @@ func ReadJSON(r io.Reader) ([]*Result, error) { return dataset.ReadJSON(r) }
 // WriteJSON writes results as an indented JSON array.
 func WriteJSON(w io.Writer, rs []*Result) error { return dataset.WriteJSON(w, rs) }
 
-// ReadBinary parses results from the compact binary corpus encoding —
-// the fleet-scale format that round-trips 100k-server corpora in
-// milliseconds where CSV/JSON parse in seconds. Both the record-major
-// v1 layout and the sectioned columnar v2 layout load transparently.
-func ReadBinary(r io.Reader) ([]*Result, error) { return dataset.ReadBinary(r) }
-
-// WriteBinary writes results in the compact binary corpus encoding
-// (record-major v1). Every float round-trips bit-for-bit.
-func WriteBinary(w io.Writer, rs []*Result) error { return dataset.WriteBinary(w, rs) }
-
 // Columnar corpus core (internal/dataset).
 type (
 	// ColumnStore is the struct-of-arrays corpus representation: every
@@ -115,27 +104,29 @@ type (
 	ColumnWriter = dataset.ColumnWriter
 )
 
-// BuildColumns builds a column store (raw and derived metric columns)
-// from result structs.
+// BuildColumns copies result structs into a column store; its derived
+// metric columns build on first use.
 func BuildColumns(rs []*Result) *ColumnStore { return dataset.BuildColumns(rs) }
 
 // NewColumnRepository wraps a column store in a repository without
 // materializing result views; rows materialize lazily on access.
 func NewColumnRepository(cs *ColumnStore) *Repository { return dataset.NewColumnRepository(cs) }
 
-// ReadColumns parses a binary corpus (EPFB v1 or v2) directly into a
-// column store; no result structs are built.
+// ReadColumns parses a binary corpus (EPFB v2) directly into a column
+// store; no result structs are built. The whole input is read into
+// memory and decoded with ReadColumnsBytes.
 func ReadColumns(r io.Reader) (*ColumnStore, error) { return dataset.ReadColumns(r) }
 
 // ReadColumnsBytes parses an in-memory binary corpus into a column
-// store. For v2 input it is the fastest load path: columns are sized
-// up front from the chunk framing and section payloads decode in
-// place, with no streaming copy. The store does not retain data.
+// store — the fastest load path: columns are sized up front from the
+// chunk framing and section payloads decode in place. The store does
+// not retain data. EPFB v1 input is rejected.
 func ReadColumnsBytes(data []byte) (*ColumnStore, error) { return dataset.ReadColumnsBytes(data) }
 
 // WriteColumns writes a column store in the sectioned columnar EPFB v2
-// encoding. Every float round-trips bit-for-bit, and v2 files load
-// several times faster than the record-major v1 layout.
+// encoding — the fleet-scale format that round-trips 100k-server
+// corpora in milliseconds where CSV/JSON parse in seconds. Every float
+// round-trips bit-for-bit.
 func WriteColumns(w io.Writer, cs *ColumnStore) error { return dataset.WriteColumns(w, cs) }
 
 // NewColumnWriter starts a streaming EPFB v2 encode to w; call
@@ -143,8 +134,8 @@ func WriteColumns(w io.Writer, cs *ColumnStore) error { return dataset.WriteColu
 func NewColumnWriter(w io.Writer) (*ColumnWriter, error) { return dataset.NewColumnWriter(w) }
 
 // ReadDatasetPath loads a corpus file into a repository, sniffing the
-// format: EPFB binaries (v1 or v2) load columnar, ".json" selects the
-// JSON codec, anything else the CSV codec.
+// format: EPFB v2 binaries decode straight into columns, ".json"
+// selects the JSON codec, anything else the CSV codec.
 func ReadDatasetPath(path string) (*Repository, error) { return dataset.ReadPath(path) }
 
 // Synthetic corpus (internal/synth).

@@ -645,8 +645,21 @@ func benchmarkFleetRead(b *testing.B,
 	}
 }
 
+// BenchmarkFleetReadBinary10k reads EPFB v2 into result structs, the
+// same artifact the CSV and JSON rows produce.
 func BenchmarkFleetReadBinary10k(b *testing.B) {
-	benchmarkFleetRead(b, repro.WriteBinary, repro.ReadBinary)
+	benchmarkFleetRead(b, writeEPFB, func(r io.Reader) ([]*repro.Result, error) {
+		cs, err := repro.ReadColumns(r)
+		if err != nil {
+			return nil, err
+		}
+		return cs.Materialize(), nil
+	})
+}
+
+// writeEPFB writes result structs as EPFB v2.
+func writeEPFB(w io.Writer, rs []*repro.Result) error {
+	return repro.WriteColumns(w, repro.BuildColumns(rs))
 }
 
 func BenchmarkFleetReadCSV10k(b *testing.B) {
@@ -657,6 +670,7 @@ func BenchmarkFleetReadJSON10k(b *testing.B) {
 	benchmarkFleetRead(b, repro.WriteJSON, repro.ReadJSON)
 }
 
+// BenchmarkFleetWriteBinary10k writes result structs as EPFB v2.
 func BenchmarkFleetWriteBinary10k(b *testing.B) {
 	rs, err := repro.GenerateFleet(repro.FleetConfig{Seed: 1, Servers: 10_000})
 	if err != nil {
@@ -666,7 +680,7 @@ func BenchmarkFleetWriteBinary10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := repro.WriteBinary(&buf, rs); err != nil {
+		if err := writeEPFB(&buf, rs); err != nil {
 			b.Fatal(err)
 		}
 	}

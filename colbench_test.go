@@ -55,24 +55,14 @@ func BenchmarkColumnarGenerate10k(b *testing.B)  { benchmarkColumnarGenerate(b, 
 func BenchmarkColumnarGenerate100k(b *testing.B) { benchmarkColumnarGenerate(b, 100_000) }
 func BenchmarkColumnarGenerate1M(b *testing.B)   { benchmarkColumnarGenerate(b, 1_000_000) }
 
-// ---- binary load: record-major v1 vs sectioned columnar v2 ----
+// ---- binary load: EPFB v2 through ReadColumnsBytes ----
 //
-// Both formats load through the same entry point (ReadColumnsBytes,
-// the ReadPath route for on-disk corpora) into the same artifact, a
-// ColumnStore, so the pair isolates the cost of the wire encoding:
-// v1 decodes record by record through the column builder, v2 decodes
-// whole column sections in place.
+// ReadColumnsBytes is the ReadPath route for on-disk corpora: whole
+// column sections decode in place into a ColumnStore.
 
-func benchmarkColumnarLoad(b *testing.B, n int, v2 bool) {
-	cs := colStore(b, n)
+func benchmarkColumnarLoad(b *testing.B, n int) {
 	var buf bytes.Buffer
-	var err error
-	if v2 {
-		err = repro.WriteColumns(&buf, cs)
-	} else {
-		err = repro.WriteBinary(&buf, cs.Materialize())
-	}
-	if err != nil {
+	if err := repro.WriteColumns(&buf, colStore(b, n)); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -90,12 +80,9 @@ func benchmarkColumnarLoad(b *testing.B, n int, v2 bool) {
 	}
 }
 
-func BenchmarkColumnarLoadV1_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_000, false) }
-func BenchmarkColumnarLoadV2_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_000, true) }
-func BenchmarkColumnarLoadV1_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000, false) }
-func BenchmarkColumnarLoadV2_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000, true) }
-func BenchmarkColumnarLoadV1_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000, false) }
-func BenchmarkColumnarLoadV2_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000, true) }
+func BenchmarkColumnarLoadV2_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_000) }
+func BenchmarkColumnarLoadV2_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000) }
+func BenchmarkColumnarLoadV2_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000) }
 
 // ---- full analysis suite + text report ----
 

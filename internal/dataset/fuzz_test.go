@@ -75,92 +75,6 @@ func FuzzReadJSON(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary hardens both binary layouts: arbitrary bytes must
-// either fail cleanly or decode to a corpus that re-encodes and
-// round-trips in both v1 and v2 — never panic, never allocate
-// unboundedly (the per-record/per-section caps are what this fuzz
-// exercises).
-func FuzzReadBinary(f *testing.F) {
-	rs := []*Result{fuzzSeedResult()}
-	var v1 bytes.Buffer
-	if err := WriteBinary(&v1, rs); err != nil {
-		f.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := WriteColumns(&v2, BuildColumns(rs)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("EPFB"))
-	f.Add(append([]byte("EPFB\x01"), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))       // huge v1 record length
-	f.Add(append([]byte("EPFB\x02"), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F))       // huge v2 row count
-	f.Add(append([]byte("EPFB\x02\x01\x01\x01"), 0xFF, 0xFF, 0xFF, 0x7F)) // huge v2 section size
-	f.Add(v1.Bytes()[:v1.Len()-3])
-	f.Add(v2.Bytes()[:v2.Len()-3])
-	f.Fuzz(func(t *testing.T, input []byte) {
-		// The streaming and in-memory columnar entry points share the
-		// decode logic but not the framing walk: they must accept
-		// exactly the same inputs and produce identical stores.
-		cs1, err1 := ReadColumns(bytes.NewReader(input))
-		cs2, err2 := ReadColumnsBytes(input)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("ReadColumns err=%v, ReadColumnsBytes err=%v", err1, err2)
-		}
-		if err1 == nil {
-			var b1, b2 bytes.Buffer
-			if err := WriteColumns(&b1, cs1); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteColumns(&b2, cs2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-				t.Fatal("streaming and in-memory columnar decodes differ")
-			}
-		}
-		results, err := ReadBinary(bytes.NewReader(input))
-		if err != nil {
-			// The columnar entry points must agree that the input is bad
-			// or decode it without panicking; they may be stricter (they
-			// validate column alignment), never more lenient in a way
-			// that panics.
-			if err1 == nil {
-				_ = cs1.Materialize()
-			}
-			return
-		}
-		for _, r := range results {
-			if r == nil {
-				t.Fatal("nil result from successful parse")
-			}
-			_ = r.EP()
-			_ = IsCompliant(r)
-		}
-		var re1 bytes.Buffer
-		if err := WriteBinary(&re1, results); err != nil {
-			t.Fatalf("v1 re-encode failed: %v", err)
-		}
-		back, err := ReadBinary(bytes.NewReader(re1.Bytes()))
-		if err != nil || len(back) != len(results) {
-			t.Fatalf("v1 round trip failed: %v (%d vs %d)", err, len(back), len(results))
-		}
-		var re2 bytes.Buffer
-		if err := WriteColumns(&re2, buildRawColumns(results)); err != nil {
-			t.Fatalf("v2 re-encode failed: %v", err)
-		}
-		cs, err := ReadColumns(bytes.NewReader(re2.Bytes()))
-		if err != nil || cs.Len() != len(results) {
-			n := -1
-			if cs != nil {
-				n = cs.Len()
-			}
-			t.Fatalf("v2 round trip failed: %v (%d vs %d)", err, n, len(results))
-		}
-	})
-}
-
 func fuzzSeedResult() *Result {
 	r := &Result{
 		ID:               "fuzz-seed",

@@ -140,23 +140,6 @@ func TestCloneDoesNotShareCache(t *testing.T) {
 	}
 }
 
-// TestRepositoryColumnsInvalidatedByAdd checks Add drops the cached
-// columns so later reads see the new result.
-func TestRepositoryColumnsInvalidatedByAdd(t *testing.T) {
-	rp := NewRepository([]*Result{memoResult("a", 60)})
-	if n := len(rp.EPs()); n != 1 {
-		t.Fatalf("want 1 EP, got %d", n)
-	}
-	rp.Add(memoResult("b", 80))
-	eps := rp.EPs()
-	if len(eps) != 2 {
-		t.Fatalf("columns not invalidated by Add: got %d EPs", len(eps))
-	}
-	if eps[0] == eps[1] {
-		t.Fatalf("distinct idle power must give distinct EPs, got %v", eps)
-	}
-}
-
 // TestSortByEPMatchesDirectSort cross-checks the key-column sort
 // against an independently computed ordering.
 func TestSortByEPMatchesDirectSort(t *testing.T) {

@@ -8,12 +8,10 @@ import (
 )
 
 // ReadPath loads a dataset file into a repository, dispatching on
-// content and extension. Files that begin with the EPFB magic load
-// through the columnar reader (record v1 or sectioned v2) straight
-// into a column-backed repository — result views materialize lazily.
-// Otherwise a ".json" suffix selects the JSON codec and anything else
-// the CSV codec, the convention the CLIs shared individually before
-// this helper existed.
+// content and extension. Files that begin with the EPFB magic decode
+// straight into columns. Otherwise a ".json" suffix selects the JSON
+// codec and anything else the CSV codec, whose results are copied into
+// columns. Either way result views materialize lazily.
 func ReadPath(path string) (*Repository, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -23,11 +21,10 @@ func ReadPath(path string) (*Repository, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	head, _ := br.Peek(len(binaryMagic))
 	if bytes.Equal(head, binaryMagic[:]) {
-		// Binary corpora are decoded from memory: the v2 fast path
+		// Binary corpora are decoded from memory: the decoder
 		// pre-sizes every column from the chunk framing and slices
-		// section payloads in place instead of streaming through a
-		// scratch buffer. Pre-sizing the read buffer from the file
-		// length avoids growth copies on the way in.
+		// section payloads in place. Pre-sizing the read buffer from
+		// the file length avoids growth copies on the way in.
 		size := 0
 		if st, err := f.Stat(); err == nil && st.Size() > 0 {
 			size = int(st.Size())

@@ -3,290 +3,138 @@ package dataset
 import (
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/microarch"
 )
 
 // Repository is an in-memory collection of results with the filtering
-// and grouping operations the analyses use. It stores pointers; callers
-// must not mutate results after adding them.
+// and grouping operations the analyses use. It is a read-only view over
+// one ColumnStore: metric accessors (EPs, OverallEEs, SortByEP, …) and
+// the internal analyses read struct-of-arrays columns, while All and
+// the grouping helpers return []*Result adapter views (see
+// ColumnStore.Result) that materialize on first row access.
 //
-// The primary representation is the columnar ColumnStore: metric
-// accessors (EPs, OverallEEs, SortByEP, …) and the internal analyses
-// read struct-of-arrays columns, while All and the grouping helpers
-// materialize []*Result adapter views lazily. A repository born from
-// results builds its columns on first columnar access (sharing each
-// result's memoized metric bundle); a repository born from a
-// ColumnStore materializes result views on first row access.
-//
-// Concurrency contract: the repository state (results + columns) is an
-// immutable snapshot behind an atomic pointer. Readers never block and
-// never observe a half-updated state. Add publishes a brand-new
-// snapshot; readers that loaded the old snapshot keep reading the old
-// results and old columns, which stay internally consistent forever.
-// Concurrent Add calls serialize against each other.
+// Concurrency contract: the store is immutable, and the row views are
+// published once with a compare-and-swap, so readers never block and
+// every caller sees the same row pointers.
 type Repository struct {
-	mu    sync.Mutex // serializes Add and other writers
-	state atomic.Pointer[repoState]
+	cs   *ColumnStore
+	rows atomic.Pointer[[]*Result]
 }
 
-// repoState is one immutable snapshot. Exactly one of results/store may
-// be nil: nil results means "not materialized yet" (column-born), nil
-// store means "columns not built yet" (result-born). Lazy fills publish
-// a new snapshot via CompareAndSwap, so a snapshot's fields never
-// change after publication.
-type repoState struct {
-	results []*Result
-	store   *ColumnStore
-}
-
-func newRepoState(results []*Result, store *ColumnStore) *Repository {
-	rp := &Repository{}
-	rp.state.Store(&repoState{results: results, store: store})
-	return rp
-}
-
-// NewRepository builds a repository over the given results.
+// NewRepository copies results into a new column store and wraps it.
+// Later edits to results are not seen, and the repository's row views
+// are its own copies, not the given pointers.
 func NewRepository(results []*Result) *Repository {
-	rs := make([]*Result, len(results))
-	copy(rs, results)
-	return newRepoState(rs, nil)
+	return NewColumnRepository(BuildColumns(results))
 }
 
 // NewColumnRepository builds a repository directly over a column store;
 // []*Result views materialize lazily on first row access.
 func NewColumnRepository(cs *ColumnStore) *Repository {
-	return newRepoState(nil, cs)
+	return &Repository{cs: cs}
 }
 
-// Add appends results, publishing a new state snapshot. Concurrent
-// readers holding the previous snapshot (including its metric columns)
-// keep a consistent view of the repository as it was before Add; the
-// columns rebuild lazily for the new snapshot.
-func (rp *Repository) Add(results ...*Result) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	base := rp.resultsSlice()
-	merged := make([]*Result, 0, len(base)+len(results))
-	merged = append(merged, base...)
-	merged = append(merged, results...)
-	rp.state.Store(&repoState{results: merged})
-}
-
-// resultsSlice returns the materialized []*Result view, building and
-// publishing it on first use for column-born repositories. The returned
-// slice is shared: callers must not mutate it.
+// resultsSlice returns the row views, materializing and publishing them
+// on first use. The returned slice is shared: callers must not mutate
+// it.
 func (rp *Repository) resultsSlice() []*Result {
-	st := rp.state.Load()
-	if st.results != nil {
-		return st.results
+	if rows := rp.rows.Load(); rows != nil {
+		return *rows
 	}
-	mat := st.store.Materialize()
-	if mat == nil {
-		mat = []*Result{}
-	}
-	rp.state.CompareAndSwap(st, &repoState{results: mat, store: st.store})
+	mat := rp.cs.Materialize()
 	// If another goroutine won the race, adopt its view so row pointer
 	// identity stays stable across calls.
-	if cur := rp.state.Load(); cur.results != nil && cur.store == st.store {
-		return cur.results
-	}
-	return mat
+	rp.rows.CompareAndSwap(nil, &mat)
+	return *rp.rows.Load()
 }
 
-// columns returns the raw column store, building and publishing it on
-// first use for result-born repositories.
-func (rp *Repository) columns() *ColumnStore {
-	st := rp.state.Load()
-	if st.store != nil {
-		return st.store
-	}
-	cs := buildRawColumns(st.results)
-	rp.state.CompareAndSwap(st, &repoState{results: st.results, store: cs})
-	if cur := rp.state.Load(); cur.store != nil && sameResults(cur.results, st.results) {
-		return cur.store
-	}
-	return cs
-}
+// Columns returns the repository's column store. The store and every
+// column it exposes are read-only; the analyses iterate these columns
+// directly instead of walking []*Result.
+func (rp *Repository) Columns() *ColumnStore { return rp.cs }
 
-func sameResults(a, b []*Result) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// metricStore returns the column store with its derived metric layer
-// built. For result-born repositories the build reads each result's
-// memoized bundle, so warm caches are shared rather than recomputed.
-func (rp *Repository) metricStore() *ColumnStore {
-	st := rp.state.Load()
-	cs := st.store
-	if cs == nil {
-		cs = rp.columns()
-	}
-	if !cs.MetricsBuilt() {
-		cs.buildDerived(st.results)
-	}
-	return cs
-}
-
-// Columns returns the repository's column store with the derived metric
-// layer built. The store and every column it exposes are read-only; the
-// analyses iterate these columns directly instead of walking []*Result.
-func (rp *Repository) Columns() *ColumnStore {
-	return rp.metricStore()
-}
-
-// Precompute eagerly builds the metric columns (and thereby every
-// result's memoized metric bundle) in parallel. It is never required —
-// the columns build themselves on first use — but lets callers pay the
-// cold cost up front, e.g. before serving queries.
-func (rp *Repository) Precompute() {
-	rp.metricStore()
-}
+// Precompute eagerly builds the derived metric columns in parallel. It
+// is never required — the columns build themselves on first use — but
+// lets callers pay the cold cost up front, e.g. before serving queries.
+func (rp *Repository) Precompute() { rp.cs.derivedCols() }
 
 func copyColumn(col []float64) []float64 {
 	return append([]float64(nil), col...)
 }
 
 // Len returns the number of stored results.
-func (rp *Repository) Len() int {
-	st := rp.state.Load()
-	if st.results != nil {
-		return len(st.results)
-	}
-	return st.store.Len()
-}
+func (rp *Repository) Len() int { return rp.cs.Len() }
 
-// At returns the result at index i (repository order). Column-born
-// repositories materialize the row views on first access.
-func (rp *Repository) At(i int) *Result {
-	return rp.resultsSlice()[i]
-}
-
-// All returns the stored results (shared pointers, fresh slice).
+// All returns the row views (shared pointers, fresh slice).
 func (rp *Repository) All() []*Result {
 	return append([]*Result(nil), rp.resultsSlice()...)
 }
 
 // Valid returns a repository containing only compliant results — the
-// paper's 517 → 477 step. Validation builds each result's curve, so the
-// check fans out across CPUs; repository order is preserved.
+// paper's 517 → 477 step — reading the compliance column (computed in
+// parallel on the cold build) and preserving repository order. It
+// returns the receiver when every result is compliant.
 func (rp *Repository) Valid() *Repository {
-	return rp.filterCompliance(func(ok bool) bool { return ok })
+	if rp.cs.AllCompliant() {
+		return rp
+	}
+	comp := rp.cs.ComplianceCol()
+	return rp.filter(func(i int) bool { return comp[i] })
 }
 
 // NonCompliant returns the results that fail validation.
 func (rp *Repository) NonCompliant() *Repository {
-	return rp.filterCompliance(func(ok bool) bool { return !ok })
+	comp := rp.cs.ComplianceCol()
+	return rp.filter(func(i int) bool { return !comp[i] })
 }
 
-// filterCompliance keeps the results whose compliance verdict satisfies
-// keep, reading the compliance column (computed in parallel on the cold
-// build) and preserving repository order.
-func (rp *Repository) filterCompliance(keep func(compliant bool) bool) *Repository {
-	st := rp.state.Load()
-	cs := rp.metricStore()
-	comp := cs.ComplianceCol()
-	if cs.AllCompliant() {
-		if keep(true) {
-			return newRepoState(st.results, cs)
-		}
-		return NewRepository(nil)
-	}
-	if st.results != nil {
-		out := make([]*Result, 0, len(st.results))
-		for i, r := range st.results {
-			if keep(comp[i]) {
-				out = append(out, r)
-			}
-		}
-		return newRepoState(out, nil)
-	}
-	return NewColumnRepository(cs.Gather(keepRows(cs.Len(), func(i int) bool { return keep(comp[i]) })))
-}
-
-func keepRows(n int, keep func(int) bool) []int32 {
-	out := make([]int32, 0, n)
+// filter returns a repository over the rows keep accepts, in order.
+func (rp *Repository) filter(keep func(i int) bool) *Repository {
+	n := rp.cs.Len()
+	rows := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if keep(i) {
-			out = append(out, int32(i))
+			rows = append(rows, int32(i))
 		}
 	}
-	return out
-}
-
-// Filter returns a repository of the results for which keep returns true.
-func (rp *Repository) Filter(keep func(*Result) bool) *Repository {
-	all := rp.resultsSlice()
-	out := make([]*Result, 0, len(all))
-	for _, r := range all {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return newRepoState(out, nil)
-}
-
-// filterColumns keeps the rows satisfying pred, staying columnar for
-// column-born repositories and walking the result views otherwise.
-func (rp *Repository) filterColumns(pred func(cs *ColumnStore, i int) bool, resPred func(*Result) bool) *Repository {
-	st := rp.state.Load()
-	if st.results != nil {
-		out := make([]*Result, 0, len(st.results))
-		for _, r := range st.results {
-			if resPred(r) {
-				out = append(out, r)
-			}
-		}
-		return newRepoState(out, nil)
-	}
-	cs := st.store
-	return NewColumnRepository(cs.Gather(keepRows(cs.Len(), func(i int) bool { return pred(cs, i) })))
+	return NewColumnRepository(rp.cs.Gather(rows))
 }
 
 // SingleNode returns only single-node results.
 func (rp *Repository) SingleNode() *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool { return cs.nodes[i] == 1 },
-		func(r *Result) bool { return r.Nodes == 1 })
+	nodes := rp.cs.nodes
+	return rp.filter(func(i int) bool { return nodes[i] == 1 })
 }
 
 // MultiNode returns only results with more than one node.
 func (rp *Repository) MultiNode() *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool { return cs.nodes[i] > 1 },
-		func(r *Result) bool { return r.Nodes > 1 })
+	nodes := rp.cs.nodes
+	return rp.filter(func(i int) bool { return nodes[i] > 1 })
 }
 
 // YearRange returns results whose hardware availability year lies in
 // [from, to] inclusive.
 func (rp *Repository) YearRange(from, to int) *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool {
-			y := int(cs.hwYears[i])
-			return y >= from && y <= to
-		},
-		func(r *Result) bool { return r.HWAvailYear >= from && r.HWAvailYear <= to })
+	years := rp.cs.hwYears
+	return rp.filter(func(i int) bool {
+		y := int(years[i])
+		return y >= from && y <= to
+	})
 }
 
 // YearMismatched returns results whose published year differs from their
 // hardware availability year — the 74 results (15.5%) the paper calls
 // out.
 func (rp *Repository) YearMismatched() *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool { return cs.pubYears[i] != cs.hwYears[i] },
-		func(r *Result) bool { return r.PublishedYear != r.HWAvailYear })
+	pub, hw := rp.cs.pubYears, rp.cs.hwYears
+	return rp.filter(func(i int) bool { return pub[i] != hw[i] })
 }
 
 // ByHWYear groups results by hardware availability year.
 func (rp *Repository) ByHWYear() map[int][]*Result {
 	return rp.groupInt(func(r *Result) int { return r.HWAvailYear })
-}
-
-// ByPublishedYear groups results by the year SPEC published them.
-func (rp *Repository) ByPublishedYear() map[int][]*Result {
-	return rp.groupInt(func(r *Result) int { return r.PublishedYear })
 }
 
 // ByNodes groups results by total node count.
@@ -330,7 +178,7 @@ func (rp *Repository) ByCodename() map[microarch.Codename][]*Result {
 // HWYears returns the distinct hardware availability years in ascending
 // order.
 func (rp *Repository) HWYears() []int {
-	years := distinctInt32(rp.columns().hwYears)
+	years := distinctInt32(rp.cs.hwYears)
 	sort.Ints(years)
 	return years
 }
@@ -351,56 +199,50 @@ func distinctInt32(col []int32) []int {
 // order. The values come from the metric columns; only the returned
 // slice is freshly allocated.
 func (rp *Repository) EPs() []float64 {
-	return copyColumn(rp.metricStore().EPCol())
+	return copyColumn(rp.cs.EPCol())
 }
 
 // OverallEEs returns the SPECpower score of every result, in repository
 // order.
 func (rp *Repository) OverallEEs() []float64 {
-	return copyColumn(rp.metricStore().OverallEECol())
+	return copyColumn(rp.cs.OverallEECol())
 }
 
 // PeakEEs returns every result's peak energy efficiency, in repository
 // order.
 func (rp *Repository) PeakEEs() []float64 {
-	return copyColumn(rp.metricStore().PeakEECol())
+	return copyColumn(rp.cs.PeakEECol())
 }
 
 // PeakEEUtilizations returns, for every result in repository order, the
 // lowest utilization at which its peak efficiency occurs.
 func (rp *Repository) PeakEEUtilizations() []float64 {
-	return copyColumn(rp.metricStore().PeakEEUtilCol())
+	return copyColumn(rp.cs.PeakEEUtilCol())
 }
 
 // IdleFractions returns every result's idle-to-peak power ratio, in
 // repository order.
 func (rp *Repository) IdleFractions() []float64 {
-	return copyColumn(rp.metricStore().IdleFractionCol())
+	return copyColumn(rp.cs.IdleFractionCol())
 }
 
 // DynamicRanges returns every result's normalized power swing, in
 // repository order.
 func (rp *Repository) DynamicRanges() []float64 {
-	return copyColumn(rp.metricStore().DynamicRangeCol())
+	return copyColumn(rp.cs.DynamicRangeCol())
 }
 
 // PeakOverFullRatios returns every result's peak-over-full-load
 // efficiency ratio, in repository order.
 func (rp *Repository) PeakOverFullRatios() []float64 {
-	return copyColumn(rp.metricStore().PeakOverFullCol())
+	return copyColumn(rp.cs.PeakOverFullCol())
 }
 
 // SortByEP returns the results sorted by ascending EP (stable, copy).
 // The sort compares precomputed column keys, so it costs O(n log n)
 // float comparisons rather than O(n log n) curve rebuilds.
 func (rp *Repository) SortByEP() []*Result {
-	return rp.sortByKey(rp.metricStore().EPCol())
-}
-
-// SortByOverallEE returns the results sorted by ascending SPECpower
-// score (stable, copy).
-func (rp *Repository) SortByOverallEE() []*Result {
-	return rp.sortByKey(rp.metricStore().OverallEECol())
+	return rp.sortByKey(rp.cs.EPCol())
 }
 
 // sortByKey stable-sorts a copy of the results by the given column,
@@ -476,47 +318,7 @@ func argsortStableSlow(keys []float64) []int32 {
 	return idx
 }
 
-// Merge combines repositories into one, de-duplicating by result ID
-// (first occurrence wins). Use it to combine incremental corpus
-// snapshots or mix measured and simulated results.
-func Merge(repos ...*Repository) *Repository {
-	seen := make(map[string]bool)
-	var out []*Result
-	for _, rp := range repos {
-		if rp == nil {
-			continue
-		}
-		for _, r := range rp.resultsSlice() {
-			if r.ID != "" && seen[r.ID] {
-				continue
-			}
-			seen[r.ID] = true
-			out = append(out, r)
-		}
-	}
-	return newRepoState(out, nil)
-}
-
 // IDs returns every result ID in repository order.
 func (rp *Repository) IDs() []string {
-	return append([]string(nil), rp.columns().ids...)
-}
-
-// FindByID returns the result with the given ID, or nil.
-func (rp *Repository) FindByID(id string) *Result {
-	st := rp.state.Load()
-	if st.results != nil {
-		for _, r := range st.results {
-			if r.ID == id {
-				return r
-			}
-		}
-		return nil
-	}
-	for i, v := range st.store.ids {
-		if v == id {
-			return rp.At(i)
-		}
-	}
-	return nil
+	return append([]string(nil), rp.cs.ids...)
 }

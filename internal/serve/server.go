@@ -166,19 +166,20 @@ func (s *Server) Reload(seed int64) (*Snapshot, error) {
 
 // loadScenario is the workspace loader: it materializes the corpus a
 // Key describes. A bare seed regenerates the calibrated paper corpus;
-// a fleet key samples synth.GenerateFleet. The same key always yields
-// a byte-identical corpus, so evicted scenarios reload transparently.
+// a fleet key generates the fleet straight into columns. The same key
+// always yields a byte-identical corpus, so evicted scenarios reload
+// transparently.
 func (s *Server) loadScenario(key Key) (*Snapshot, error) {
 	opts := s.opts
 	opts.Seed = key.Seed
 	if key.Servers == 0 {
 		return SynthSnapshot(key.Seed, opts)
 	}
-	fleet, err := synth.GenerateFleet(synth.FleetConfig{Seed: key.Seed, Servers: key.Servers})
+	fleet, err := synth.GenerateFleetStore(synth.FleetConfig{Seed: key.Seed, Servers: key.Servers})
 	if err != nil {
 		return nil, fmt.Errorf("serve: generate fleet %s: %w", key, err)
 	}
-	snap := NewSnapshot(dataset.NewRepository(fleet), key.Seed, opts)
+	snap := NewSnapshot(dataset.NewColumnRepository(fleet), key.Seed, opts)
 	snap.Corpus = key.String()
 	return snap, nil
 }

@@ -89,7 +89,7 @@ func generateShardStore(cfg FleetConfig, s int) (*dataset.ColumnStore, error) {
 		count = fleetShardSize
 	}
 	g := &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
-	b := dataset.NewColumnBuilder(count, count*10, false)
+	b := dataset.NewColumnBuilder(count, count*10)
 	for i := 0; i < count; i++ {
 		r, err := g.fleetResult()
 		if err != nil {

@@ -31,16 +31,12 @@ func metricBits(r *dataset.Result) [5]uint64 {
 	}
 }
 
-// analysisDigest rebuilds the analysis pipeline cold over clones of the
+// analysisDigest rebuilds the analysis pipeline cold over a copy of the
 // valid corpus and hashes every derived number exactly: the metric
 // columns, the correlation set, and the Eq. 2 fit. Two invocations must
 // produce identical digests no matter how the work was scheduled.
 func analysisDigest(valid *dataset.Repository) (string, error) {
-	clones := make([]*dataset.Result, valid.Len())
-	for i, r := range valid.All() {
-		clones[i] = r.Clone()
-	}
-	rp := dataset.NewRepository(clones)
+	rp := dataset.NewRepository(valid.All()) // a fresh store: cold columns
 	rp.Precompute()
 
 	h := sha256.New()
