@@ -37,8 +37,8 @@ bench:
 fleetbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchtime 1x .
 
-# Columnar-core smoke: one iteration of the 10k/100k generate, load
-# (EPFB v1 vs v2), and full-report benchmarks. The 1M variants are
+# Columnar-core smoke: one iteration of the 10k/100k generate, EPFB v2
+# load, and full-report benchmarks. The 1M variants are
 # excluded to keep the CI run short; run them by hand with
 # `go test -bench 'BenchmarkColumnar.*1M' -benchtime 2x .`
 # when refreshing BENCH_columnar.json.
@@ -91,8 +91,9 @@ calibrate:
 	$(GO) run ./cmd/specgen -verify -q
 
 # Fuzz every target the CI verify job smokes, for a short burst each:
-# the EP metric kernel, the curve solvers, the binary, CSV and JSON
-# corpus codecs, the CPU model parser, the OpenMetrics parser, the
+# the EP metric kernel, the curve solvers, the EPFB v2 codec (each
+# decoded row's metric columns checked against core.Curve), the CSV and
+# JSON corpus codecs, the CPU model parser, the OpenMetrics parser, the
 # intensity and demand-trace CSV parsers, the Theil-Sen slope median and
 # the HTTP request surface (raise FUZZTIME locally for a longer run).
 FUZZTIME ?= 10s
