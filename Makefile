@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race bench fleetbench colbench simbench optbench carbonbench servebench report report-html verify calibrate fuzz serve selftest examples clean
+.PHONY: all check fmt build vet test race bench fleetbench colbench simbench optbench carbonbench servebench report report-html verify fuzz serve selftest examples clean
 
 all: check
 
@@ -82,13 +82,9 @@ report-html:
 
 # Run the paper-invariant verification engine: structural, metric and
 # differential checks over the default corpus (exit non-zero on any
-# failure). `make calibrate` is the older, looser calibration table.
+# failure).
 verify:
 	$(GO) run ./cmd/specverify -seed 1
-
-# Check the synthetic corpus against every paper target (any-seed bands).
-calibrate:
-	$(GO) run ./cmd/specgen -verify -q
 
 # Fuzz every target the CI verify job smokes, for a short burst each:
 # the EP metric kernel, the curve solvers, the EPFB v2 codec (each
@@ -114,7 +110,7 @@ fuzz:
 serve:
 	$(GO) run ./cmd/specserved
 
-# End-to-end API smoke check + load benchmark over a loopback listener.
+# End-to-end API smoke check over a loopback listener.
 selftest:
 	$(GO) run ./cmd/specserved -selftest -no-sweeps
 

@@ -637,15 +637,6 @@ func ProjectTrends(rp *Repository, targetYear int) (Projection, error) {
 	return analysis.ProjectTrends(rp, targetYear)
 }
 
-// CalibrationCheck verifies a corpus against the paper's headline
-// statistics (the contract `specgen -verify` prints).
-type CalibrationCheckRow = synth.Check
-
-// VerifyCalibration measures rp against every paper target.
-func VerifyCalibration(rp *Repository) ([]CalibrationCheckRow, error) {
-	return synth.CalibrationCheck(rp)
-}
-
 // The paper-invariant verification engine (cmd/specverify drives it;
 // internal/verify houses the registry).
 type (

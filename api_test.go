@@ -185,14 +185,22 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 	valid := corpus.Valid()
 
-	// Calibration self-check through the facade.
-	checks, err := repro.VerifyCalibration(corpus)
+	// The invariant registry through the facade: the seed-1 corpus
+	// passes, with one finding per registered invariant.
+	rep, err := repro.Verify(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range checks {
-		if !c.OK {
-			t.Errorf("calibration check %q failed: got %s want %s", c.Name, c.Got, c.Paper)
+	if !rep.OK() {
+		t.Errorf("seed-1 corpus failed invariants %v", rep.FailureNames())
+	}
+	invs := repro.VerifyInvariants()
+	if len(rep.Findings) != len(invs) {
+		t.Fatalf("%d findings for %d registered invariants", len(rep.Findings), len(invs))
+	}
+	for i, f := range rep.Findings {
+		if f.Name != invs[i].Name {
+			t.Errorf("finding %d is %s, want %s", i, f.Name, invs[i].Name)
 		}
 	}
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"text/tabwriter"
 
 	"repro/internal/cli"
 	"repro/internal/dataset"
@@ -25,33 +24,9 @@ func main() {
 	}
 }
 
-// runVerify prints the calibration table and fails on any regression.
-func runVerify(rp *dataset.Repository, w io.Writer) error {
-	checks, err := synth.CalibrationCheck(rp)
-	if err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "check\tpaper\tmeasured\tstatus")
-	failed := 0
-	for _, c := range checks {
-		status := "ok"
-		if !c.OK {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", c.Name, c.Paper, c.Got, status)
-	}
-	tw.Flush()
-	if failed > 0 {
-		return fmt.Errorf("%d calibration checks failed", failed)
-	}
-	return nil
-}
-
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.New("specgen",
-		"[-seed N] [-servers N] [-format csv|json|epfb] [-valid-only] [-out FILE] [-verify]",
+		"[-seed N] [-servers N] [-format csv|json|epfb] [-valid-only] [-out FILE]",
 		"generates the calibrated synthetic SPECpower corpus (517 submissions, 477 valid) — or, with -servers, a fleet-scale corpus — as CSV, JSON, or binary EPFB", stderr)
 	var (
 		seed      = fs.Int64("seed", 1, "generator seed; equal seeds reproduce the corpus bit for bit")
@@ -60,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		validOnly = fs.Bool("valid-only", false, "emit only the 477 compliant results (corpus mode only)")
 		out       = fs.String("out", "", "output file (default stdout)")
 		quiet     = fs.Bool("q", false, "suppress the summary line on stderr")
-		verify    = fs.Bool("verify", false, "print the calibration check against the paper's targets and exit non-zero on failure")
 	)
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
@@ -69,6 +43,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "csv", "json", "epfb":
 	default:
 		return fmt.Errorf("unknown format %q (want csv, json, or epfb)", *format)
+	}
+	if *servers < 0 {
+		return fmt.Errorf("-servers %d: want a positive fleet size, or 0 for the paper corpus", *servers)
 	}
 
 	w := stdout
@@ -86,8 +63,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *servers > 0 {
-		if *verify || *validOnly {
-			return fmt.Errorf("-servers is incompatible with -verify and -valid-only")
+		if *validOnly {
+			return fmt.Errorf("-servers is incompatible with -valid-only")
 		}
 		if err := writeFleet(w, *seed, *servers, *format); err != nil {
 			return err
@@ -101,9 +78,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rp, err := synth.NewRepository(synth.Config{Seed: *seed})
 	if err != nil {
 		return err
-	}
-	if *verify {
-		return runVerify(rp, stdout)
 	}
 	results := rp.All()
 	if *validOnly {

@@ -334,6 +334,9 @@ func runOptimize(stdout io.Writer, servers []*dataset.Result, oc optConfig) erro
 	if oc.models < 1 {
 		return fmt.Errorf("need at least one model, got %d", oc.models)
 	}
+	if oc.stepSeconds <= 0 {
+		return fmt.Errorf("-opt-step %v s: want a positive step", oc.stepSeconds)
+	}
 	if oc.models > len(servers) {
 		oc.models = len(servers)
 	}

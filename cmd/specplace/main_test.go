@@ -196,6 +196,8 @@ func TestOptimizeBadArgs(t *testing.T) {
 		{"-optimize", "-objective", "carbon", "-embodied", "1300", "-lifetime-years", "0"},
 		{"-optimize", "-objective", "cost", "-embodied", "1300"},
 		{"-optimize", "-objective", "cost", "-rate-bins", "-1"},
+		{"-optimize", "-opt-step", "0"},
+		{"-optimize", "-opt-step", "-60"},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

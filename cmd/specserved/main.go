@@ -16,7 +16,7 @@
 // Usage:
 //
 //	specserved [-addr :8080] [-seed N] [-in FILE] [-no-sweeps] [-sweep-seconds S] [-workers N] [-workspace N]
-//	specserved -selftest [-no-sweeps]   # smoke-check + load benchmark over a local listener
+//	specserved -selftest [-no-sweeps]   # API smoke check over a local listener
 //
 // Endpoints:
 //
@@ -51,7 +51,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/serve"
-	"repro/internal/serve/loadbench"
 	"repro/internal/verify"
 )
 
@@ -75,9 +74,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers  = fs.Int("workers", 0, "max parallel workers for renders (0 = all cores); output is identical at any count")
 		wsCap    = fs.Int("workspace", 0, "max resident keyed corpus scenarios (LRU-bounded; 0 = default 8)")
 		doVerify = fs.Bool("verify", false, "run the structural and metric paper invariants over the snapshot before serving; refuse to start on failure")
-		selftest = fs.Bool("selftest", false, "start on a loopback listener, verify the API, run the load benchmark, exit")
-		requests = fs.Int("selftest-requests", 2000, "requests per endpoint in the self-test load benchmark")
-		clients  = fs.Int("selftest-clients", 8, "concurrent clients in the self-test load benchmark")
+		selftest = fs.Bool("selftest", false, "start on a loopback listener, verify the API end to end, exit")
 	)
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
@@ -113,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *selftest {
-		return selfTest(srv, synthetic, *requests, *clients, stdout)
+		return selfTest(srv, synthetic, stdout)
 	}
 
 	fmt.Fprintf(stderr, "specserved: listening on %s\n", *addr)
@@ -138,11 +135,11 @@ func verifySnapshot(srv *serve.Server, synthetic bool, out io.Writer) error {
 	return nil
 }
 
-// selfTest starts the server on a loopback listener, verifies the API
-// surface end to end (byte-identity with the library render, ETag
-// revalidation, figure and metric endpoints), then load-benchmarks the
-// cold-miss and warm-hit paths and prints the numbers.
-func selfTest(srv *serve.Server, synthetic bool, requests, clients int, out io.Writer) error {
+// selfTest starts the server on a loopback listener and verifies the
+// API surface end to end: byte-identity with the library render, ETag
+// revalidation, figure and metric endpoints, a re-verified reload and
+// a linted scrape.
+func selfTest(srv *serve.Server, synthetic bool, out io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -258,45 +255,6 @@ func selfTest(srv *serve.Server, synthetic bool, requests, clients int, out io.W
 		return fmt.Errorf("selftest metrics: %w", err)
 	}
 
-	// 7. Load benchmark: warm-hit throughput on the heavy and light
-	// paths, the 304 revalidation path, the scrape path, and (on
-	// synthetic servers) a mixed-key workload spanning the default
-	// corpus, two workspace scenarios and the exposition.
-	fmt.Fprintf(out, "loadbench: %d requests x %d clients per endpoint\n", requests, clients)
-	lintScrape := func(status int, body []byte) error {
-		_, err := metrics.Parse(body)
-		return err
-	}
-	runs := []loadbench.Options{
-		{Path: "/api/v1/report", Requests: requests, Concurrency: clients},
-		{Path: "/api/v1/report", Requests: requests, Concurrency: clients,
-			Header: http.Header{"If-None-Match": {etag}}, WantStatus: http.StatusNotModified},
-		{Path: "/api/v1/metrics/ep", Requests: requests, Concurrency: clients},
-		{Path: "/api/v1/figures/3?format=svg", Requests: requests, Concurrency: clients},
-		{Path: "/metrics", Requests: requests, Concurrency: clients, Check: lintScrape},
-		{Path: "/healthz", Requests: requests, Concurrency: clients},
-	}
-	if synthetic {
-		runs = append(runs, loadbench.Options{
-			Path: "mixed-keys", Requests: requests, Concurrency: clients,
-			Paths: []string{
-				"/api/v1/summary",
-				fmt.Sprintf("/api/v1/summary?seed=%d&servers=64", srv.Snapshot().Seed),
-				fmt.Sprintf("/api/v1/metrics/ep?seed=%d&servers=96", srv.Snapshot().Seed),
-				"/metrics",
-			},
-		})
-	}
-	for _, opt := range runs {
-		res, err := loadbench.Run(client, base, opt)
-		if err != nil {
-			return fmt.Errorf("selftest loadbench: %w", err)
-		}
-		if opt.WantStatus == http.StatusNotModified {
-			res.Path += " (304)"
-		}
-		fmt.Fprintln(out, res.String())
-	}
 	fmt.Fprintln(out, "selftest: ok")
 	return nil
 }

@@ -83,6 +83,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *duration <= 0 {
 		return fmt.Errorf("duration %v days", *duration)
 	}
+	if *step <= 0 {
+		return fmt.Errorf("-step %v s: want a positive step", *step)
+	}
 	if math.IsNaN(*load) || math.IsInf(*load, 0) {
 		return fmt.Errorf("-load %v", *load)
 	}

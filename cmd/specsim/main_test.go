@@ -281,12 +281,16 @@ func TestBadArgs(t *testing.T) {
 		}
 	}
 	// A non-finite demand shape is reported against its flag, not as
-	// NaN demand deep in the simulator.
+	// NaN demand deep in the simulator, and a non-positive step is
+	// rejected rather than replaced by a default.
 	for _, args := range [][]string{
 		{"-load", "NaN"},
 		{"-load", "+Inf"},
 		{"-swing", "NaN"},
 		{"-trace", "bursty", "-load", "NaN"},
+		{"-step", "0"},
+		{"-step", "-60"},
+		{"-trace", "bursty", "-step", "0"},
 	} {
 		var out, errBuf bytes.Buffer
 		err := run(args, &out, &errBuf)

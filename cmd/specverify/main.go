@@ -10,6 +10,12 @@
 // from a CSV or JSON file instead; generation-dependent invariants are
 // then skipped.
 //
+// The metric bands (internal/verify/tol) are calibrated for the default
+// corpus, seed 1. Another seed may fall outside one — seed 2 fails
+// metric/eq2-fit — so only seed 1 gets a calibration verdict here;
+// internal/synth's TestInvariantsAcrossSeeds holds other seeds to the
+// wider any-seed bands.
+//
 // Usage:
 //
 //	specverify [-seed N] [-in FILE] [-category LIST] [-workers N] [-list] [-q]
@@ -81,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"[-seed N] [-in FILE] [-category LIST] [-workers N] [-list] [-q]",
 		"runs the paper-invariant verification engine (structural, metric and differential checks) over a synthetic or loaded corpus and exits non-zero on any failure", stderr)
 	var (
-		seed     = fs.Int64("seed", 1, "generator seed for the synthetic corpus (ignored with -in)")
+		seed     = fs.Int64("seed", 1, "generator seed for the synthetic corpus (ignored with -in); the metric bands are calibrated for seed 1")
 		in       = fs.String("in", "", "verify a CSV/JSON corpus file instead of generating one")
 		category = fs.String("category", "", "comma-separated categories to run (default all): structural,metric,differential")
 		workers  = fs.Int("workers", 0, "cap the worker pool (0 = GOMAXPROCS)")

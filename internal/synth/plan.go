@@ -14,7 +14,11 @@
 // driven by a caller-provided seed and is fully deterministic.
 package synth
 
-import "repro/internal/microarch"
+import (
+	"slices"
+
+	"repro/internal/microarch"
+)
 
 // Corpus-level counts from the paper (§I).
 const (
@@ -190,6 +194,16 @@ var mpcBuckets = []struct {
 	{1.78, 13},
 	{2.00, 123},
 	{4.00, 26},
+}
+
+// TableI returns a copy of the Table I histogram the generator pins:
+// each tabulated memory-per-core ratio (GB per core, two decimals) with
+// the number of valid servers on it, in table order.
+func TableI() []struct {
+	GBPerCore float64
+	Count     int
+} {
+	return slices.Clone(mpcBuckets)
 }
 
 // otherMPCValues are the ratios used by the 47 off-table servers.

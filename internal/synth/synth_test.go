@@ -686,42 +686,3 @@ func TestCurveFamilyInvariants(t *testing.T) {
 		}
 	}
 }
-
-func TestCalibrationCheckPasses(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		rp := corpus(t, seed)
-		ok, failures, err := AllChecksPass(rp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Errorf("seed %d: calibration checks failed: %v", seed, failures)
-		}
-		checks, err := CalibrationCheck(rp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(checks) < 12 {
-			t.Errorf("only %d checks", len(checks))
-		}
-		for _, c := range checks {
-			if c.Name == "" || c.Paper == "" || c.Got == "" {
-				t.Errorf("incomplete check %+v", c)
-			}
-		}
-	}
-}
-
-func TestCalibrationCheckDetectsCorruption(t *testing.T) {
-	// A foreign/corrupted dataset must fail the checks rather than pass
-	// vacuously.
-	rp := corpus(t, 1)
-	subset := dataset.NewRepository(rp.Valid().All()[:100])
-	ok, failures, err := AllChecksPass(subset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || len(failures) == 0 {
-		t.Error("truncated corpus passed calibration")
-	}
-}

@@ -84,7 +84,8 @@ type DiurnalConfig struct {
 	Seed int64
 	// Days is the trace length.
 	Days int
-	// StepSeconds is the sampling period (0 = 300 s).
+	// StepSeconds is the sampling period (0 = 300 s; negative is an
+	// error).
 	StepSeconds float64
 	// BaseOps is the mean demand.
 	BaseOps float64
@@ -121,7 +122,7 @@ func Diurnal(cfg DiurnalConfig) (*Trace, error) {
 		return nil, fmt.Errorf("trace: daily swing %v outside [0, 1)", cfg.DailySwing)
 	}
 	step := cfg.StepSeconds
-	if step <= 0 {
+	if step == 0 {
 		step = 300
 	}
 	if !validStep(step) {

@@ -30,7 +30,7 @@ func TestDiurnalValidation(t *testing.T) {
 	if _, err := Diurnal(DiurnalConfig{Days: 1, BaseOps: 1, DailySwing: 1.5}); err == nil {
 		t.Error("swing ≥ 1 accepted")
 	}
-	for _, step := range []float64{math.NaN(), math.Inf(1)} {
+	for _, step := range []float64{math.NaN(), math.Inf(1), -60} {
 		if _, err := Diurnal(DiurnalConfig{Days: 1, BaseOps: 1, StepSeconds: step}); err == nil {
 			t.Errorf("step %v accepted", step)
 		}

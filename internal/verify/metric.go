@@ -315,5 +315,30 @@ func metricInvariants() []Invariant {
 				return pass("peak EE consistent on %d results", ctx.Valid.Len())
 			},
 		},
+		{
+			Name: "metric/peak-at-full-share", Category: Metric,
+			Doc: "the share of servers peaking in efficiency at full load sits near the paper's 69.25%",
+			Check: func(ctx *Context) Finding {
+				share := analysis.PeakShiftShares(ctx.Valid, math.MinInt, math.MaxInt)[1.0]
+				if share < tol.PeakAtFullShareMin || share > tol.PeakAtFullShareMax {
+					return fail("%.2f%% peak at 100%% load, outside [%.0f%%, %.0f%%] (paper %.2f%%)",
+						100*share, 100*tol.PeakAtFullShareMin, 100*tol.PeakAtFullShareMax, 100*tol.PeakAtFullShareTarget)
+				}
+				return pass("%.2f%% peak at 100%% load (paper %.2f%%)", 100*share, 100*tol.PeakAtFullShareTarget)
+			},
+		},
+		{
+			Name: "metric/top-decile-2012", Category: Metric,
+			Doc: "most of the top-EP decile is 2012 hardware (the paper's 91.7%)",
+			Check: func(ctx *Context) Finding {
+				async := analysis.Asynchronization(ctx.Valid)
+				if async.TopN == 0 || async.TopEPFrom2012 < tol.TopDecile2012Min {
+					return fail("%.1f%% of the top-EP decile (%d servers) from 2012, want over %.0f%% (paper %.1f%%)",
+						100*async.TopEPFrom2012, async.TopN, 100*tol.TopDecile2012Min, 100*tol.TopDecile2012Target)
+				}
+				return pass("%.1f%% of the top-EP decile (%d servers) from 2012 (paper %.1f%%)",
+					100*async.TopEPFrom2012, async.TopN, 100*tol.TopDecile2012Target)
+			},
+		},
 	}
 }

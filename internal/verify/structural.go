@@ -185,5 +185,23 @@ func structuralInvariants() []Invariant {
 				return pass("hardware years %d..%d", years[0], years[len(years)-1])
 			},
 		},
+		{
+			Name: "structural/table-i-histogram", Category: Structural,
+			Doc: "the valid servers fill the paper's Table I memory-per-core buckets exactly",
+			Check: func(ctx *Context) Finding {
+				counts := make(map[float64]int)
+				for _, r := range ctx.Valid.All() {
+					counts[math.Round(r.MemoryPerCore()*100)/100]++
+				}
+				onTable := 0
+				for _, b := range synth.TableI() {
+					if got := counts[b.GBPerCore]; got != b.Count {
+						return fail("%.2f GB/core: %d servers, want %d", b.GBPerCore, got, b.Count)
+					}
+					onTable += b.Count
+				}
+				return pass("%d of %d servers on the Table I ratios", onTable, ctx.Valid.Len())
+			},
+		},
 	}
 }

@@ -9,8 +9,11 @@
 //     can never drift apart between the engine and the tests.
 //
 //   - Calibration bands (Cal* prefix): the looser any-seed intervals
-//     synth.CalibrationCheck applies, wide enough that every generator
-//     seed passes while a genuine calibration regression still fails.
+//     internal/synth's TestInvariantsAcrossSeeds holds seeds 2, 5, 17
+//     and 101 to, wide enough that every generator seed passes while a
+//     genuine calibration regression still fails. No command applies
+//     them: specverify's verdicts use the default-corpus bands, which
+//     are calibrated for seed 1.
 //
 // The package is an import leaf — it depends on nothing — so test
 // packages inside the very packages internal/verify exercises can
@@ -28,6 +31,12 @@ const (
 	Eq2ATarget  = 1.2969
 	Eq2BTarget  = -2.06
 	Eq2R2Target = 0.892
+	// PeakAtFullShareTarget is the paper's 69.25% of servers reaching
+	// peak efficiency at 100% load (§IV.A).
+	PeakAtFullShareTarget = 0.6925
+	// TopDecile2012Target is the paper's 91.7% of the top-EP decile
+	// built in 2012 (§IV.B).
+	TopDecile2012Target = 0.917
 )
 
 // Default-corpus bands.
@@ -51,10 +60,21 @@ const (
 	Eq2AMax = 1.40
 	Eq2BMin = -2.5
 	Eq2BMax = -1.6
+
+	// PeakAtFullShareMin/Max bound the share of valid servers with a
+	// peak-efficiency spot at 100% load. Every seed tested stays
+	// inside, so TestInvariantsAcrossSeeds applies this band too.
+	PeakAtFullShareMin = 0.64
+	PeakAtFullShareMax = 0.77
+
+	// TopDecile2012Min floors the share of the top-EP decile built in
+	// 2012. Every seed tested clears it, so TestInvariantsAcrossSeeds
+	// applies it too.
+	TopDecile2012Min = 0.75
 )
 
-// Calibration bands: the any-seed acceptance intervals of
-// synth.CalibrationCheck (`specgen -verify`).
+// Calibration bands: the any-seed acceptance intervals
+// TestInvariantsAcrossSeeds applies at every seed it generates.
 const (
 	CalCorrEPIdleMin = -0.99
 	CalCorrEPIdleMax = -0.85

@@ -6,11 +6,14 @@
 //
 //   - structural: counts and shape facts of the corpus itself (517
 //     submissions, 477 valid, 74 reorganized, compliance partition,
-//     standard 11-point curves, monotone power, 478 peak-EE spots);
+//     standard 11-point curves, monotone power, 478 peak-EE spots, the
+//     Table I memory-per-core histogram);
 //   - metric: the paper's published numbers recomputed from raw
 //     disclosure fields and compared against the cached metric paths
 //     (Eq. 1 from the trapezoid area, the −0.92 idle correlation, the
-//     Eq. 2 exponential fit, the EP extremes 0.18/1.05);
+//     Eq. 2 exponential fit, the EP extremes 0.18/1.05, the 69.25% of
+//     servers peaking at full load, the 2012 share of the top-EP
+//     decile);
 //   - differential: two independent paths through the system must
 //     agree exactly — cold recomputation versus memoized caches,
 //     worker counts 1/2/8, the HTTP serving layer versus the library

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -109,7 +110,10 @@ func TestCategoryFilter(t *testing.T) {
 
 // TestCorruptedMetricsFail mutates one valid curve after the caches
 // warmed: the cached metrics no longer match a cold recomputation, so
-// the differential and metric invariants must catch it.
+// the differential and metric invariants must catch it. It then
+// tampers with the fields behind each Table I, peak-share and
+// top-decile target in a fresh copy of the corpus, and that target's
+// invariant must fail.
 func TestCorruptedMetricsFail(t *testing.T) {
 	ctx := seed1(t)
 	victim := ctx.Valid.All()[3]
@@ -130,6 +134,59 @@ func TestCorruptedMetricsFail(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("failures %v do not include %s", names, want)
+	}
+
+	pristine := seed1(t).Valid.All()
+	registry := make(map[string]Invariant)
+	for _, inv := range Registry() {
+		registry[inv.Name] = inv
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func([]*dataset.Result) []*dataset.Result
+	}{
+		{"structural/table-i-histogram", func(rs []*dataset.Result) []*dataset.Result {
+			// Move one server from the 1.00 GB/core bucket to 2.00.
+			for _, r := range rs {
+				if math.Round(r.MemoryPerCore()*100)/100 == 1.00 {
+					r.MemoryGB *= 2
+					break
+				}
+			}
+			return rs
+		}},
+		{"metric/peak-at-full-share", func(rs []*dataset.Result) []*dataset.Result {
+			// Keep only the servers that peak at full load.
+			var kept []*dataset.Result
+			for _, r := range rs {
+				if r.PeakEEUtilization() == 1.0 {
+					kept = append(kept, r)
+				}
+			}
+			return kept
+		}},
+		{"metric/top-decile-2012", func(rs []*dataset.Result) []*dataset.Result {
+			// Relabel the 2012 hardware as 2013.
+			for _, r := range rs {
+				if r.HWAvailYear == 2012 {
+					r.HWAvailYear = 2013
+				}
+			}
+			return rs
+		}},
+	} {
+		inv, ok := registry[tc.name]
+		if !ok {
+			t.Fatalf("no invariant %s registered", tc.name)
+		}
+		rs := make([]*dataset.Result, len(pristine))
+		for i, r := range pristine {
+			rs[i] = r.Clone()
+		}
+		tampered := NewContext(dataset.NewRepository(tc.tamper(rs)), 1, false)
+		if f := runOne(inv, tampered); f.OK {
+			t.Errorf("%s passed a tampered corpus: %s", tc.name, f.Detail)
+		}
 	}
 }
 
