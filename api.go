@@ -11,7 +11,6 @@ import (
 	"repro/internal/fleetsim"
 	"repro/internal/metrics"
 	"repro/internal/optimize"
-	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/power"
 	"repro/internal/report"
@@ -150,9 +149,6 @@ type (
 // calibrated to the paper's statistics.
 func GenerateCorpus(cfg SynthConfig) (*Repository, error) { return synth.NewRepository(cfg) }
 
-// GenerateValidResults produces only the 477 compliant results.
-func GenerateValidResults(cfg SynthConfig) ([]*Result, error) { return synth.GenerateValid(cfg) }
-
 // GenerateFleet produces a fleet of cfg.Servers synthetic results
 // sampled from the same calibrated plan tables as the default corpus.
 // Generation shards across CPUs on fixed-size RNG streams, so the
@@ -177,13 +173,7 @@ func GenerateFleetShards(cfg FleetConfig, fn func(shard int, cs *ColumnStore) er
 // FleetProfiles derives placement profiles from fleet results in
 // parallel, ready for ComposeCluster and the placement planners.
 func FleetProfiles(results []*Result) ([]*PlacementProfile, error) {
-	return par.MapErr(len(results), func(i int) (*PlacementProfile, error) {
-		c, err := results[i].Curve()
-		if err != nil {
-			return nil, err
-		}
-		return placement.NewProfile(results[i].ID, c)
-	})
+	return placement.Profiles(results)
 }
 
 // Analyses (internal/analysis).

@@ -97,13 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fleet, err := par.MapErr(len(results), func(i int) (*placement.Profile, error) {
-		c, err := results[i].Curve()
-		if err != nil {
-			return nil, err
-		}
-		return placement.NewProfile(results[i].ID, c)
-	})
+	fleet, err := placement.Profiles(results)
 	if err != nil {
 		return err
 	}

@@ -64,10 +64,11 @@ func TestBinaryRoundTripExact(t *testing.T) {
 // for standard ten-level results, reading back the binary form equals
 // reading back the CSV and JSON forms bit-for-bit.
 func TestBinaryMatchesCSVAndJSONRoundTrip(t *testing.T) {
-	valid, err := synth.GenerateValid(synth.Config{Seed: 1})
+	rp, err := synth.NewRepository(synth.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	valid := rp.Valid().All()
 
 	var csv, js bytes.Buffer
 	if err := dataset.WriteCSV(&csv, valid); err != nil {

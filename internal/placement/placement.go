@@ -16,6 +16,8 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // Profile characterizes one server for placement decisions.
@@ -112,6 +114,19 @@ func NewProfile(id string, curve *core.Curve) (*Profile, error) {
 	}
 	p.optimalEE = p.EEAt(p.OptimalUtilization)
 	return p, nil
+}
+
+// Profiles derives one profile per result from its measured curve, in
+// parallel and in input order. The first failing result (by index)
+// decides the error.
+func Profiles(rs []*dataset.Result) ([]*Profile, error) {
+	return par.MapErr(len(rs), func(i int) (*Profile, error) {
+		c, err := rs[i].Curve()
+		if err != nil {
+			return nil, err
+		}
+		return NewProfile(rs[i].ID, c)
+	})
 }
 
 // OpsAt returns the throughput the server delivers at utilization u,

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/optimize"
-	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -162,13 +161,7 @@ func buildGauges(snap *Snapshot) ([]metrics.Family, error) {
 // these gauges never perturb the scrape's golden digest.
 func fleetGauges(snap *Snapshot, corpus metrics.Label) ([]metrics.Family, error) {
 	results := snap.Valid.All()
-	profiles, err := par.MapErr(len(results), func(i int) (*placement.Profile, error) {
-		c, err := results[i].Curve()
-		if err != nil {
-			return nil, err
-		}
-		return placement.NewProfile(results[i].ID, c)
-	})
+	profiles, err := placement.Profiles(results)
 	if err != nil {
 		return nil, fmt.Errorf("serve: fleet profiles: %w", err)
 	}

@@ -12,7 +12,7 @@ import (
 // Key identifies one served corpus scenario: a generation seed plus an
 // optional fleet size. The zero Servers value selects the full
 // calibrated 517-submission corpus at that seed; a positive value
-// selects a synth.GenerateFleet corpus of that many servers. Keys are
+// selects a synth.GenerateFleetStore corpus of that many servers. Keys are
 // value types and the whole identity of a workspace snapshot — the
 // same key always loads a byte-identical corpus, which is what makes
 // eviction followed by a reload safe (the reloaded snapshot serves the

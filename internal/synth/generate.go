@@ -32,22 +32,6 @@ func Generate(cfg Config) ([]*dataset.Result, error) {
 	return out, nil
 }
 
-// GenerateValid produces only the 477 compliant results.
-func GenerateValid(cfg Config) ([]*dataset.Result, error) {
-	all, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	verdicts := par.Map(len(all), func(i int) bool { return dataset.IsCompliant(all[i]) })
-	out := make([]*dataset.Result, 0, ValidCount)
-	for i, r := range all {
-		if verdicts[i] {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
 // NewRepository generates the corpus and wraps it in a repository.
 func NewRepository(cfg Config) (*dataset.Repository, error) {
 	all, err := Generate(cfg)
@@ -100,7 +84,9 @@ func (g *generator) validResults() ([]*dataset.Result, error) {
 	// parallel on first analysis — so generation never pays for metrics
 	// the caller may not read.
 	results := par.Map(len(blueprints), func(i int) *dataset.Result {
-		return materializeResult(blueprints[i], draws[i])
+		r := &dataset.Result{}
+		materializeResult(blueprints[i], draws[i], r)
+		return r
 	})
 	g.assignPublishedYears(results)
 	return results, nil
@@ -543,9 +529,11 @@ func (g *generator) drawResult(bp *blueprint) (resultDraws, error) {
 }
 
 // materializeResult is the pure stage: it turns a blueprint plus its
-// recorded draws into a Result without touching the rng, so it is safe
-// to run concurrently for many submissions.
-func materializeResult(bp *blueprint, d resultDraws) *dataset.Result {
+// recorded draws into r without touching the rng, so it is safe to run
+// concurrently for many submissions. It overwrites every field of r
+// and reuses the capacity of r.Levels, so one row can be refilled
+// server after server as long as no metric accessor has run on it.
+func materializeResult(bp *blueprint, d resultDraws, r *dataset.Result) {
 	// Peak power scales with the installed hardware.
 	peakWatts := 30 + float64(bp.chips)*(55+35*d.peakRand) +
 		bp.mpc*float64(bp.chips*bp.coresPerChip)*0.35 +
@@ -559,7 +547,11 @@ func materializeResult(bp *blueprint, d resultDraws) *dataset.Result {
 	ee100 := d.eeTarget * (sumP + d.curve.idle) / 5.5
 	ops100 := ee100 * peakWatts
 
-	levels := make([]dataset.LoadLevel, 10)
+	levels := r.Levels
+	if cap(levels) < len(levelGrid) {
+		levels = make([]dataset.LoadLevel, len(levelGrid))
+	}
+	levels = levels[:len(levelGrid)]
 	for i, u := range levelGrid {
 		jitter := 0.0
 		if i < 9 && d.jitterOn {
@@ -574,7 +566,7 @@ func materializeResult(bp *blueprint, d resultDraws) *dataset.Result {
 		}
 	}
 
-	r := &dataset.Result{
+	*r = dataset.Result{
 		ID:               fmt.Sprintf("power_ssj2008-%04d", d.seq),
 		Vendor:           d.vendor,
 		System:           fmt.Sprintf("%s %s%d", d.vendor, d.series, d.seriesNum),
@@ -600,7 +592,6 @@ func materializeResult(bp *blueprint, d resultDraws) *dataset.Result {
 		r.CPUModel = "Intel Core i5-4570"
 		r.NominalGHz = 3.2
 	}
-	return r
 }
 
 // buildResult composes the two stages sequentially. The non-compliant
@@ -611,7 +602,9 @@ func (g *generator) buildResult(bp *blueprint) (*dataset.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return materializeResult(bp, d), nil
+	r := &dataset.Result{}
+	materializeResult(bp, d, r)
+	return r, nil
 }
 
 var systemSeries = []string{"ProServ ", "PowerRack ", "System x", "Primergy ", "ThinkSystem ", "Express "}

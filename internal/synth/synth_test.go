@@ -653,21 +653,6 @@ func TestEEYearGrowthMonotone(t *testing.T) {
 	}
 }
 
-func TestGenerateValidMatchesRepositoryFilter(t *testing.T) {
-	vs, err := GenerateValid(Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != ValidCount {
-		t.Fatalf("GenerateValid = %d results", len(vs))
-	}
-	for _, r := range vs {
-		if !dataset.IsCompliant(r) {
-			t.Fatalf("GenerateValid returned non-compliant %s", r.ID)
-		}
-	}
-}
-
 func TestCurveFamilyInvariants(t *testing.T) {
 	// Every generated curve must hit its EP target exactly (the solver
 	// guarantees it analytically) and stay monotone.
