@@ -49,6 +49,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("-interval %d: want a positive interval", *interval)
+	}
 	if *workers > 0 {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(*workers))
 	}

@@ -67,6 +67,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-server", "2", "-single", "-memory", "7"}, &out, &errBuf); err == nil {
 		t.Error("non-multiple memory accepted")
 	}
+	// A non-positive interval is an error naming the flag, not a
+	// silent fall-back to SPEC's 240 s.
+	for _, args := range [][]string{
+		{"-interval", "0"},
+		{"-interval", "-5"},
+		{"-server", "2", "-single", "-interval", "-5"},
+	} {
+		err := run(args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-interval") {
+			t.Errorf("args %v: error %v does not name -interval", args, err)
+		}
+	}
 }
 
 func TestRunRepeat(t *testing.T) {

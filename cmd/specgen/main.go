@@ -24,7 +24,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := cli.New("specgen",
 		"[-seed N] [-servers N] [-format csv|json|epfb] [-valid-only] [-out FILE]",
 		"generates the calibrated synthetic SPECpower corpus (517 submissions, 477 valid) — or, with -servers, a fleet-scale corpus — as CSV, JSON, or binary EPFB", stderr)
@@ -50,10 +50,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	w := stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*out)
+		if cerr != nil {
+			return cerr
 		}
+		// err is run's result, so a failed Close fails the run.
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -67,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-servers is incompatible with -valid-only")
 		}
 		if err := writeFleet(w, *seed, *servers, *format); err != nil {
-			return err
+			return fmt.Errorf("-servers %d: %w", *servers, err)
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "fleet: %d servers (seed %d, %s)\n", *servers, *seed, *format)
@@ -106,35 +107,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 // by disk. The bytes equal a one-shot encode of GenerateFleet's output
 // in every format.
 func writeFleet(w io.Writer, seed int64, servers int, format string) error {
-	cfg := synth.FleetConfig{Seed: seed, Servers: servers}
+	var (
+		write  func(cs *dataset.ColumnStore) error
+		finish func() error
+	)
 	switch format {
 	case "epfb":
 		cw, err := dataset.NewColumnWriter(w)
 		if err != nil {
 			return err
 		}
-		if err := synth.GenerateFleetShards(cfg, func(_ int, cs *dataset.ColumnStore) error {
-			return cw.WriteChunk(cs)
-		}); err != nil {
-			return err
-		}
-		return cw.Flush()
+		write, finish = cw.WriteChunk, cw.Flush
 	case "csv":
 		sw := dataset.NewCSVWriter(w)
-		if err := synth.GenerateFleetShards(cfg, func(_ int, cs *dataset.ColumnStore) error {
-			return sw.Append(cs.Materialize())
-		}); err != nil {
-			return err
-		}
-		return sw.Flush()
+		write = func(cs *dataset.ColumnStore) error { return sw.Append(cs.Materialize()) }
+		finish = sw.Flush
 	case "json":
 		jw := dataset.NewJSONWriter(w)
-		if err := synth.GenerateFleetShards(cfg, func(_ int, cs *dataset.ColumnStore) error {
-			return jw.Append(cs.Materialize())
-		}); err != nil {
-			return err
-		}
-		return jw.Close()
+		write = func(cs *dataset.ColumnStore) error { return jw.Append(cs.Materialize()) }
+		finish = jw.Close
+	default:
+		return fmt.Errorf("unknown format %q", format)
 	}
-	return fmt.Errorf("unknown format %q", format)
+	cfg := synth.FleetConfig{Seed: seed, Servers: servers}
+	if err := synth.GenerateFleetShards(cfg, func(_ int, cs *dataset.ColumnStore) error { return write(cs) }); err != nil {
+		return err
+	}
+	return finish()
 }

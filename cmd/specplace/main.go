@@ -84,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
 	}
+	if *fleetN < 1 {
+		return fmt.Errorf("-fleet %d: want at least one server", *fleetN)
+	}
 	if *workers > 0 {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(*workers))
 	}
@@ -107,14 +110,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			embodiedKg: *embodiedKg, lifetimeYears: *lifeYears, regions: *regionsS,
 		})
 	}
-	fleet := make([]*placement.Profile, 0, len(servers))
+	fleet, err := placement.Profiles(servers)
+	if err != nil {
+		return err
+	}
 	var capacity float64
-	for _, r := range servers {
-		p, err := placement.NewProfile(r.ID, r.MustCurve())
-		if err != nil {
-			return err
-		}
-		fleet = append(fleet, p)
+	for _, p := range fleet {
 		capacity += p.MaxOps
 	}
 	opts := placement.Options{IdleServersOff: *powerOff}
@@ -344,14 +345,12 @@ func runOptimize(stdout io.Writer, servers []*dataset.Result, oc optConfig) erro
 	if err != nil {
 		return err
 	}
-	models := make([]*placement.Profile, 0, oc.models)
+	models, err := placement.Profiles(servers[:oc.models])
+	if err != nil {
+		return err
+	}
 	var maxCap float64
-	for _, r := range servers[:oc.models] {
-		p, err := placement.NewProfile(r.ID, r.MustCurve())
-		if err != nil {
-			return err
-		}
-		models = append(models, p)
+	for _, p := range models {
 		maxCap += float64(oc.maxPer) * p.MaxOps
 	}
 	if oc.demand <= 0 || oc.demand > 1 {

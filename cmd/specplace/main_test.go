@@ -206,3 +206,19 @@ func TestOptimizeBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// A fleet of fewer than one server is an error naming the flag, in
+// the plan and the optimize mode alike, not a slice-bounds panic.
+func TestRunRejectsBadFleetSize(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fleet", "-3"},
+		{"-fleet", "0"},
+		{"-optimize", "-fleet", "-3"},
+	} {
+		var out, errBuf bytes.Buffer
+		err := run(args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-fleet") {
+			t.Errorf("args %v: error %v does not name -fleet", args, err)
+		}
+	}
+}

@@ -27,7 +27,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := cli.New("specreport",
 		"[-seed N] [-in FILE] [-format text|html] [-no-sweeps] [-workers N] [-out FILE]",
 		"regenerates the paper's complete evaluation section: every figure, table and headline statistic", stderr)
@@ -43,14 +43,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
 	}
+	if *sweepSec <= 0 {
+		return fmt.Errorf("-sweep-seconds %d: want a positive interval", *sweepSec)
+	}
 	if *workers > 0 {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(*workers))
 	}
 
-	var (
-		rp  *dataset.Repository
-		err error
-	)
+	var rp *dataset.Repository
 	if *in == "" {
 		rp, err = synth.NewRepository(synth.Config{Seed: *seed})
 	} else {
@@ -80,10 +80,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	w := stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*out)
+		if cerr != nil {
+			return cerr
 		}
+		// err is run's result, so a failed Close fails the run.
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {
 				err = cerr

@@ -55,6 +55,25 @@ func TestRunMissingInput(t *testing.T) {
 	}
 }
 
+// A non-positive sweep interval is an error naming the flag, not a
+// silent fall-back to SPEC's 240 s.
+func TestRunRejectsBadSweepSeconds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sweep-seconds", "0"},
+		{"-sweep-seconds", "-5"},
+		{"-no-sweeps", "-sweep-seconds", "-5"},
+	} {
+		var out, errBuf bytes.Buffer
+		err := run(args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-sweep-seconds") {
+			t.Errorf("args %v: error %v does not name -sweep-seconds", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: rejected run wrote %d bytes", args, out.Len())
+		}
+	}
+}
+
 func TestRunHTMLFormat(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run([]string{"-no-sweeps", "-format", "html"}, &out, &errBuf); err != nil {

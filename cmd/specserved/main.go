@@ -79,6 +79,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if done, err := cli.Parse(fs, args, stdout); done || err != nil {
 		return err
 	}
+	if *sweepSec <= 0 {
+		return fmt.Errorf("-sweep-seconds %d: want a positive interval", *sweepSec)
+	}
+	if *wsCap < 0 {
+		return fmt.Errorf("-workspace %d: want a non-negative scenario count, or 0 for the default", *wsCap)
+	}
 	if *workers > 0 {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(*workers))
 	}

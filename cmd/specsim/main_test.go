@@ -273,6 +273,14 @@ func TestBadArgs(t *testing.T) {
 		{"-trace", "bursty", "-step", "NaN"},
 		{"-trace", csv, "-step", "NaN"},
 		{"-trace", csv, "-step", "+Inf"},
+		// A fleet beyond what a column store can address is an error,
+		// not an out-of-range allocation.
+		{"-servers", "9223372036854775807"},
+		// Non-finite power settings would otherwise print NaN or +Inf
+		// energy and exit 0.
+		{"-on", "NaN"},
+		{"-off", "+Inf"},
+		{"-headroom", "NaN"},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

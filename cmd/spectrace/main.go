@@ -67,14 +67,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(servers) > *fleetN {
 		servers = servers[:*fleetN]
 	}
-	fleet := make([]*placement.Profile, 0, len(servers))
+	fleet, err := placement.Profiles(servers)
+	if err != nil {
+		return err
+	}
 	var capacity float64
-	for _, r := range servers {
-		p, err := placement.NewProfile(r.ID, r.MustCurve())
-		if err != nil {
-			return err
-		}
-		fleet = append(fleet, p)
+	for _, p := range fleet {
 		capacity += p.MaxOps
 	}
 

@@ -100,7 +100,7 @@ func (c Config) fidelity() Fidelity {
 }
 
 func (c Config) intervalSeconds() int {
-	if c.IntervalSeconds <= 0 {
+	if c.IntervalSeconds == 0 {
 		return DefaultIntervalSeconds
 	}
 	return c.IntervalSeconds
@@ -227,6 +227,9 @@ type Runner struct {
 
 // NewRunner validates the configuration and builds a Runner.
 func NewRunner(cfg Config) (*Runner, error) {
+	if cfg.IntervalSeconds < 0 {
+		return nil, fmt.Errorf("bench: interval %d s: want a positive interval, or 0 for the default", cfg.IntervalSeconds)
+	}
 	if err := cfg.Server.Validate(); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}

@@ -33,6 +33,16 @@ func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(fastConfig(srv, power.UserSpace(9.9), 1)); err == nil {
 		t.Error("invalid governor frequency accepted")
 	}
+	// A negative interval is an error; zero keeps the SPEC default.
+	neg := fastConfig(srv, power.Performance(), 1)
+	neg.IntervalSeconds = -5
+	if _, err := NewRunner(neg); err == nil {
+		t.Error("negative interval accepted")
+	}
+	neg.IntervalSeconds = 0
+	if _, err := NewRunner(neg); err != nil {
+		t.Errorf("zero (default) interval rejected: %v", err)
+	}
 }
 
 func TestRunProducesCompliantDisclosure(t *testing.T) {

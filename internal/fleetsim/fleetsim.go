@@ -173,6 +173,9 @@ type Result struct {
 	CostUSD  float64 `json:",omitempty"`
 }
 
+// finiteNonNeg reports whether v is a finite value >= 0; NaN fails.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // validate checks the configuration and composes the fleet evaluator.
 func validate(cfg *Config) (*cluster.Evaluator, error) {
 	if cfg.Trace == nil || len(cfg.Trace.DemandOps) == 0 {
@@ -187,7 +190,8 @@ func validate(cfg *Config) (*cluster.Evaluator, error) {
 		}
 	}
 	p := cfg.Power
-	if p.OnSeconds < 0 || p.OffSeconds < 0 || p.HysteresisSteps < 0 || p.HeadroomFrac < 0 || p.MinActive < 0 {
+	if !finiteNonNeg(p.OnSeconds) || !finiteNonNeg(p.OffSeconds) || !finiteNonNeg(p.HeadroomFrac) ||
+		p.HysteresisSteps < 0 || p.MinActive < 0 {
 		return nil, fmt.Errorf("fleetsim: invalid power config %+v", p)
 	}
 	if cfg.Latency.Every < 0 {

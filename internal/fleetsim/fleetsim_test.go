@@ -211,8 +211,8 @@ func TestSaturationAndZeroDemand(t *testing.T) {
 }
 
 // TestRunRejectsBadConfig covers validation: empty traces, bad steps,
-// non-finite demand, negative power parameters, an empty fleet and an
-// unknown policy must fail up front.
+// non-finite demand, negative or non-finite power parameters, an empty
+// fleet and an unknown policy must fail up front.
 func TestRunRejectsBadConfig(t *testing.T) {
 	fleet := uniformFleet(t, 2, 100, 100, 200)
 	good := func() Config {
@@ -231,6 +231,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"nan demand":     func(c *Config) { c.Trace.DemandOps[1] = math.NaN() },
 		"inf demand":     func(c *Config) { c.Trace.DemandOps[0] = math.Inf(1) },
 		"negative on":    func(c *Config) { c.Power.OnSeconds = -1 },
+		"nan on":         func(c *Config) { c.Power.OnSeconds = math.NaN() },
+		"inf off":        func(c *Config) { c.Power.OffSeconds = math.Inf(1) },
+		"nan headroom":   func(c *Config) { c.Power.HeadroomFrac = math.NaN() },
 		"negative hyst":  func(c *Config) { c.Power.HysteresisSteps = -1 },
 		"negative every": func(c *Config) { c.Latency.Every = -1 },
 		"no members":     func(c *Config) { c.Members = nil },

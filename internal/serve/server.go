@@ -31,24 +31,19 @@ type Config struct {
 	// exactly as specreport's flags do.
 	Sweeps       bool
 	SweepSeconds int
-	// StatsWindow sizes each endpoint's latency percentile window
-	// (0 = the internal/trace default).
-	StatsWindow int
 	// WorkspaceCap bounds the resident keyed scenarios served via
 	// ?seed=/?servers= selectors (0 = DefaultWorkspaceCap). Scenarios
 	// past the bound evict least-recently-used and reload on return.
 	WorkspaceCap int
-	// MaxFleetServers caps the ?servers= fleet size a request may ask
-	// for (0 = DefaultMaxFleetServers). Fleet corpora are generated on
-	// demand, so the cap bounds per-request work and resident memory.
-	MaxFleetServers int
 	// CorpusName overrides the corpus label the default snapshot's
 	// metric families carry — file-backed servers name their dataset;
 	// "" keeps the synthetic "seed=N" label.
 	CorpusName string
 }
 
-// DefaultMaxFleetServers bounds ?servers= when the Config does not.
+// DefaultMaxFleetServers caps the ?servers= fleet size a request may
+// ask for. Fleet corpora are generated on demand, so the cap bounds
+// per-request work and resident memory.
 const DefaultMaxFleetServers = 100_000
 
 // endpointClasses are the per-endpoint recorder keys of /debug/stats.
@@ -69,7 +64,6 @@ type Server struct {
 	// file-backed corpus cannot be re-derived from a key).
 	workspace *Workspace
 	synthetic bool
-	maxFleet  int
 
 	// source rebuilds the corpus for Reload: synthesis for seed-backed
 	// servers, the retained repository for file-backed ones.
@@ -92,16 +86,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		opts:       opts,
 		synthetic:  cfg.Repo == nil,
-		maxFleet:   cfg.MaxFleetServers,
 		corpusName: cfg.CorpusName,
 		recorders:  make(map[string]*trace.LatencyRecorder, len(endpointClasses)),
 	}
-	if s.maxFleet <= 0 {
-		s.maxFleet = DefaultMaxFleetServers
-	}
 	s.workspace = NewWorkspace(cfg.WorkspaceCap, s.loadScenario)
 	for _, class := range endpointClasses {
-		s.recorders[class] = trace.NewLatencyRecorder(cfg.StatsWindow)
+		s.recorders[class] = trace.NewLatencyRecorder()
 	}
 
 	if cfg.Repo != nil {
@@ -211,8 +201,8 @@ func (s *Server) snapshotFor(r *http.Request) (*Snapshot, error) {
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("%w: bad servers %q (want a positive count)", errBadRequest, serversStr)
 		}
-		if v > s.maxFleet {
-			return nil, fmt.Errorf("%w: servers %d exceeds the limit %d", errBadRequest, v, s.maxFleet)
+		if v > DefaultMaxFleetServers {
+			return nil, fmt.Errorf("%w: servers %d exceeds the limit %d", errBadRequest, v, DefaultMaxFleetServers)
 		}
 		key.Servers = v
 	}

@@ -212,11 +212,11 @@ type IntensityConfig struct {
 	Swing float64
 	// PeakHour is the local time of the daily maximum (0 = 19).
 	PeakHour float64
-	// SolarDip in [0, 1] is the depth of the midday solar trough as a
-	// fraction of the base rate; only DuckCurveIntensity uses it
-	// (0 = 0.5).
-	SolarDip float64
 }
+
+// solarDip is the depth of the duck curve's midday solar trough as a
+// fraction of the base rate.
+const solarDip = 0.5
 
 func (cfg *IntensityConfig) withDefaults() (IntensityConfig, error) {
 	c := *cfg
@@ -247,12 +247,6 @@ func (cfg *IntensityConfig) withDefaults() (IntensityConfig, error) {
 	if c.PeakHour == 0 {
 		c.PeakHour = 19
 	}
-	if c.SolarDip == 0 {
-		c.SolarDip = 0.5
-	}
-	if c.SolarDip < 0 || c.SolarDip > 1 || math.IsNaN(c.SolarDip) {
-		return c, &RateError{Field: "SolarDip", Index: -1, Value: c.SolarDip}
-	}
 	return c, nil
 }
 
@@ -282,7 +276,7 @@ func DuckCurveIntensity(cfg IntensityConfig) (*IntensityProfile, error) {
 	return shapeProfile("duck", c, func(hour float64) float64 {
 		base := 1 + c.Swing*math.Cos(2*math.Pi*(hour-c.PeakHour)/24)
 		// Gaussian solar trough centered on 12:30 with a ~2.5 h sigma.
-		dip := c.SolarDip * math.Exp(-((hour-12.5)/2.5)*((hour-12.5)/2.5))
+		dip := solarDip * math.Exp(-((hour-12.5)/2.5)*((hour-12.5)/2.5))
 		return base - dip
 	})
 }

@@ -27,17 +27,13 @@ type LatencyRecorder struct {
 	maxSeen time.Duration
 }
 
-// defaultRingSize bounds the percentile window when NewLatencyRecorder
-// is given no capacity.
-const defaultRingSize = 4096
+// latencyWindow is how many recent samples the percentiles cover.
+const latencyWindow = 4096
 
 // NewLatencyRecorder builds a recorder whose percentile window holds
-// the last window samples (<= 0 selects the 4096-sample default).
-func NewLatencyRecorder(window int) *LatencyRecorder {
-	if window <= 0 {
-		window = defaultRingSize
-	}
-	return &LatencyRecorder{ring: make([]time.Duration, window)}
+// the last 4096 samples.
+func NewLatencyRecorder() *LatencyRecorder {
+	return &LatencyRecorder{ring: make([]time.Duration, latencyWindow)}
 }
 
 // Observe records one request: its latency, whether it was served from

@@ -150,10 +150,10 @@ type Config struct {
 	// sizes batches so roughly 200 batch events occur per simulated
 	// second at full load.
 	BatchTx int
-	// ServiceCV is the coefficient of variation of batch service
-	// demand; zero selects 0.15.
-	ServiceCV float64
 }
+
+// serviceCV is the coefficient of variation of batch service demand.
+const serviceCV = 0.15
 
 // Metrics is the outcome of one interval.
 type Metrics struct {
@@ -307,10 +307,6 @@ func (s *Sim) Interval(cfg Config) (IntervalMetrics, error) {
 		}
 		meanWork = mix.MeanWorkUnits()
 	}
-	cv := cfg.ServiceCV
-	if cv == 0 {
-		cv = 0.15
-	}
 	batch := cfg.BatchTx
 	if batch <= 0 {
 		batch = int(math.Max(1, cfg.CapacityOpsPerSec/200))
@@ -328,7 +324,10 @@ func (s *Sim) Interval(cfg Config) (IntervalMetrics, error) {
 		return m, nil // active idle: no arrivals, no busy time
 	}
 
-	// Lognormal service multiplier with the requested CV.
+	// Lognormal service multiplier with coefficient of variation
+	// serviceCV. cv is a float64 variable so 1+cv*cv rounds at run time,
+	// not as an exact constant expression.
+	cv := serviceCV
 	sigma := math.Sqrt(math.Log(1 + cv*cv))
 	mu := -sigma * sigma / 2
 
