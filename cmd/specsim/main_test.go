@@ -42,6 +42,38 @@ func TestCSVDigestWorkerInvariant(t *testing.T) {
 	}
 }
 
+// csvDigests pins the per-step CSV of specsim's default seed-3 week
+// under every policy, and of two high-load runs that drive the
+// optimal-region fill past every engage target into its top-up phase
+// (on 1,474 of 2,880 and on all 1,440 steps), beside the same runs
+// under spread.
+var csvDigests = []struct {
+	args []string
+	want string
+}{
+	{[]string{"-policy", "spread", "-seed", "3"}, "821575d1b4b5747903784ca76f24aea3bb7c7a0517944e06dd905c584385d95a"},
+	{[]string{"-policy", "optimal-region", "-seed", "3"}, "45c7171987c7667531900cd0bf808226f715648660fc5b8c80e912660fbcc63a"},
+	{[]string{"-policy", "pack", "-seed", "3"}, "b63e322eb99450d4237dad1e7abc2fd093dedb90d19af71ea51a98b4bc20b857"},
+	{[]string{"-policy", "pack+off", "-seed", "3"}, "03478361489c747206b7d90f67923a4968e519d489a48e4466cdb129aa4224ed"},
+	{[]string{"-policy", "spread", "-seed", "2", "-servers", "300", "-duration", "2", "-load", "0.9"}, "e688e817a547dd344bf3fa89cb2b0aac3084a10aade38a05daafedd3608e73c4"},
+	{[]string{"-policy", "optimal-region", "-seed", "2", "-servers", "300", "-duration", "2", "-load", "0.9"}, "d69fb2de16df78a0dc9bde0ad9f31c67ec9e45d5cffdca4f1d606b2120de0f68"},
+	{[]string{"-policy", "spread", "-seed", "5", "-servers", "200", "-trace", "bursty", "-duration", "1", "-load", "1.1"}, "b671bbfd4fbd62f1a10424e52cd28c655a45ff94d91231110a9942c7c758951f"},
+	{[]string{"-policy", "optimal-region", "-seed", "5", "-servers", "200", "-trace", "bursty", "-duration", "1", "-load", "1.1"}, "7eb0f47cc25870acfb83e3716b0cd0f3b50e6f13f40f6f6f13d3da41748789f2"},
+}
+
+func TestCSVGoldenDigests(t *testing.T) {
+	for _, c := range csvDigests {
+		var out, errBuf bytes.Buffer
+		if err := run(append(c.args, "-format", "csv"), &out, &errBuf); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%v: csv digest %s, want %s", c.args, got, c.want)
+		}
+	}
+}
+
 func TestTextSummary(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	err := run([]string{"-servers", "100", "-duration", "1", "-step", "300"}, &out, &errBuf)

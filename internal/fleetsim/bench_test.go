@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/placement"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -117,3 +118,55 @@ func BenchmarkFleetSimStep(b *testing.B) {
 		st.Step(demands[i%len(demands)])
 	}
 }
+
+// weekConfig is specsim's default run: a seeded 1,000-server synthetic
+// fleet under a one-minute diurnal week at 45% mean load — the
+// simulation fleet-batch times under every policy.
+func weekConfig(b *testing.B, policy cluster.Policy) Config {
+	b.Helper()
+	results, err := synth.GenerateFleet(synth.FleetConfig{Seed: 3, Servers: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := placement.Profiles(results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var capacity float64
+	for _, p := range fleet {
+		capacity += p.MaxOps
+	}
+	tr, err := trace.Diurnal(trace.DiurnalConfig{
+		Seed: 3, Days: 7, StepSeconds: 60, BaseOps: 0.45 * capacity,
+		DailySwing: 0.55, NoiseFrac: 0.04, SpikeProb: 0.002, WeekendFactor: 0.7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return Config{
+		Members: fleet,
+		Policy:  policy,
+		Trace:   tr,
+		Power:   PowerConfig{OnSeconds: 30, OffSeconds: 10, HysteresisSteps: 5, HeadroomFrac: 0.05, MinActive: 1},
+		Seed:    3,
+	}
+}
+
+func benchWeek(b *testing.B, policy cluster.Policy) {
+	cfg := weekConfig(b, policy)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFleetSimSpread1kWeek times the spread policy's week: a power
+// sum over the whole fleet at every step.
+func BenchmarkFleetSimSpread1kWeek(b *testing.B) { benchWeek(b, cluster.PolicySpread) }
+
+// BenchmarkFleetSimOptimalRegion1kWeek times the optimal-region week: a
+// proportional fill over the engage order at every step.
+func BenchmarkFleetSimOptimalRegion1kWeek(b *testing.B) { benchWeek(b, cluster.PolicyOptimalRegion) }
