@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/par"
@@ -126,22 +127,29 @@ func generateShard(cfg FleetConfig, s int) (*dataset.ColumnStore, error) {
 	g := &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
 	b := dataset.NewColumnBuilder(count, count*len(levelGrid))
 	var r dataset.Result
+	var id []byte
 	for i := 0; i < count; i++ {
-		if err := g.fleetResult(&r); err != nil {
+		// The ID is "fleet-%07d" of the server's index.
+		n := base + i
+		id = append(id[:0], "fleet-"...)
+		for p := 1000000; p > 1 && n < p; p /= 10 {
+			id = append(id, '0')
+		}
+		id = strconv.AppendInt(id, int64(n), 10)
+		if err := g.fleetResult(&r, string(id)); err != nil {
 			return nil, err
 		}
-		r.ID = fmt.Sprintf("fleet-%07d", base+i)
 		b.Append(&r)
 	}
 	return b.Store(), nil
 }
 
-// fleetResult samples one server into r: blueprint from the plan
-// tables, then the standard draw/materialize pipeline. The curve
+// fleetResult samples one server into r, with ID id: blueprint from the
+// plan tables, then the standard draw/materialize pipeline. The curve
 // solver can reject an (EP target, peak spot) pair as non-monotone;
 // fleets resample the pair rather than fail, since no census depends
 // on the first draw.
-func (g *generator) fleetResult(r *dataset.Result) error {
+func (g *generator) fleetResult(r *dataset.Result, id string) error {
 	bp := &blueprint{}
 	bp.year = g.sampleFleetYear()
 	bp.nodes, bp.chips = g.sampleFleetPopulation()
@@ -154,7 +162,7 @@ func (g *generator) fleetResult(r *dataset.Result) error {
 		bp.spot = g.sampleFleetSpot(bp.year)
 		d, err := g.drawResult(bp)
 		if err == nil {
-			materializeResult(bp, d, r)
+			materializeResult(bp, d, id, r)
 			if r.HWAvailYear < 2007 {
 				// The benchmark launched in 2007; older hardware is
 				// necessarily published later.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/microarch"
@@ -85,7 +86,7 @@ func (g *generator) validResults() ([]*dataset.Result, error) {
 	// the caller may not read.
 	results := par.Map(len(blueprints), func(i int) *dataset.Result {
 		r := &dataset.Result{}
-		materializeResult(blueprints[i], draws[i], r)
+		materializeResult(blueprints[i], draws[i], corpusID(draws[i].seq), r)
 		return r
 	})
 	g.assignPublishedYears(results)
@@ -528,12 +529,16 @@ func (g *generator) drawResult(bp *blueprint) (resultDraws, error) {
 	return d, nil
 }
 
+// corpusID is the ID of the seq'th corpus submission.
+func corpusID(seq int) string { return fmt.Sprintf("power_ssj2008-%04d", seq) }
+
 // materializeResult is the pure stage: it turns a blueprint plus its
-// recorded draws into r without touching the rng, so it is safe to run
-// concurrently for many submissions. It overwrites every field of r
-// and reuses the capacity of r.Levels, so one row can be refilled
-// server after server as long as no metric accessor has run on it.
-func materializeResult(bp *blueprint, d resultDraws, r *dataset.Result) {
+// recorded draws into r, with ID id, without touching the rng, so it is
+// safe to run concurrently for many submissions. It overwrites every
+// field of r and reuses the capacity of r.Levels, so one row can be
+// refilled server after server as long as no metric accessor has run
+// on it.
+func materializeResult(bp *blueprint, d resultDraws, id string, r *dataset.Result) {
 	// Peak power scales with the installed hardware.
 	peakWatts := 30 + float64(bp.chips)*(55+35*d.peakRand) +
 		bp.mpc*float64(bp.chips*bp.coresPerChip)*0.35 +
@@ -566,10 +571,16 @@ func materializeResult(bp *blueprint, d resultDraws, r *dataset.Result) {
 		}
 	}
 
+	// System is "<vendor> <series><number>", built on the stack so the
+	// string is the only allocation.
+	var sys [64]byte
+	system := append(append(append(sys[:0], d.vendor...), ' '), d.series...)
+	system = strconv.AppendInt(system, int64(d.seriesNum), 10)
+
 	*r = dataset.Result{
-		ID:               fmt.Sprintf("power_ssj2008-%04d", d.seq),
+		ID:               id,
 		Vendor:           d.vendor,
-		System:           fmt.Sprintf("%s %s%d", d.vendor, d.series, d.seriesNum),
+		System:           string(system),
 		FormFactor:       d.form,
 		PublishedYear:    bp.year, // adjusted later for mismatches
 		PublishedQuarter: d.pubQ,
@@ -603,7 +614,7 @@ func (g *generator) buildResult(bp *blueprint) (*dataset.Result, error) {
 		return nil, err
 	}
 	r := &dataset.Result{}
-	materializeResult(bp, d, r)
+	materializeResult(bp, d, corpusID(d.seq), r)
 	return r, nil
 }
 
