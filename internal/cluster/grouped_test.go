@@ -57,7 +57,6 @@ func TestGroupedEvaluatorOracle(t *testing.T) {
 			if !same(grouped.Capacity(), expanded.Capacity()) {
 				t.Fatalf("%v: capacity %v vs %v", policy, grouped.Capacity(), expanded.Capacity())
 			}
-			gsc, esc := grouped.NewScratch(), expanded.NewScratch()
 			cap := grouped.Capacity()
 			demands := []float64{-1, 0, cap * 1e-6, cap * 0.12, cap * 0.37, cap * 0.5,
 				cap * 0.83, cap * 0.999, cap, cap * 1.5}
@@ -65,7 +64,7 @@ func TestGroupedEvaluatorOracle(t *testing.T) {
 				demands = append(demands, cap*rng.Float64())
 			}
 			for _, d := range demands {
-				g, e := grouped.PowerAt(d, gsc), expanded.PowerAt(d, esc)
+				g, e := grouped.PowerAt(d), expanded.PowerAt(d)
 				if !same(g, e) {
 					t.Fatalf("%v: PowerAt(%v) grouped %v vs expanded %v", policy, d, g, e)
 				}
@@ -123,9 +122,8 @@ func TestGroupedComposeMatchesExpanded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := grouped.NewScratch()
 		for i, u := range want.Utilizations {
-			got := grouped.PowerAt(grouped.Capacity()*u, sc)
+			got := grouped.PowerAt(grouped.Capacity() * u)
 			if !same(got, want.PowerWatts[i]) {
 				t.Fatalf("%v: grid point %d: %v vs %v", policy, i, got, want.PowerWatts[i])
 			}
@@ -165,5 +163,26 @@ func TestNewGroupedEvaluatorValidation(t *testing.T) {
 	}
 	if _, err := NewGroupedEvaluator([]placement.Group{{P: p, Count: 1}}, Policy(99)); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// TestNewGroupedEvaluatorAllocs holds construction on a 5-group fleet
+// to its allocation budget: the optimizer builds one evaluator per
+// scored candidate.
+func TestNewGroupedEvaluatorAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	groups := randomGroups(t, rng, 5, 9)
+	for policy, budget := range map[Policy]float64{
+		PolicySpread: 4, PolicyPack: 9, PolicyPackPowerOff: 9, PolicyOptimalRegion: 8,
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := NewGroupedEvaluator(groups, policy); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %v allocs", policy, got)
+		if got > budget {
+			t.Errorf("%v: NewGroupedEvaluator allocates %v objects, budget %v", policy, got, budget)
+		}
 	}
 }

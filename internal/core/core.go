@@ -146,9 +146,10 @@ func (c *Curve) NormalizedPower() []float64 {
 }
 
 // PowerAt returns the normalized power at utilization u in [0, 1],
-// linearly interpolating between measured levels.
+// linearly interpolating between measured levels. Any other u,
+// including NaN, is an error.
 func (c *Curve) PowerAt(u float64) (float64, error) {
-	if u < 0 || u > 1 {
+	if !(u >= 0 && u <= 1) {
 		return 0, fmt.Errorf("core: utilization %v outside [0, 1]", u)
 	}
 	norm := c.NormalizedPower()

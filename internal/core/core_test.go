@@ -219,6 +219,9 @@ func TestPowerAtInterpolates(t *testing.T) {
 	if _, err := c.PowerAt(1.1); err == nil {
 		t.Error("PowerAt(1.1): expected error")
 	}
+	if _, err := c.PowerAt(math.NaN()); err == nil {
+		t.Error("PowerAt(NaN): expected error")
+	}
 	at1, _ := c.PowerAt(1)
 	if math.Abs(at1-1) > 1e-12 {
 		t.Errorf("PowerAt(1) = %v, want 1", at1)

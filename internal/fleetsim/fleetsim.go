@@ -259,7 +259,7 @@ func (p *segPartial) add(s StepStats) {
 	p.energyJ += s.EnergyJ
 	p.transJ += s.TransitionJ
 	p.powerSum += s.PowerWatts
-	p.peakW = math.Max(p.peakW, s.PowerWatts)
+	p.peakW = max(p.peakW, s.PowerWatts)
 	p.served += s.ServedOps
 	p.unserved += s.UnservedOps
 	if s.PowerWatts > 0 && s.ServedOps > 0 {
@@ -282,7 +282,7 @@ func (p *segPartial) add(s StepStats) {
 		p.latP50 += s.LatencyP50
 		p.latP95 += s.LatencyP95
 		p.latP99 += s.LatencyP99
-		p.latP99Max = math.Max(p.latP99Max, s.LatencyP99)
+		p.latP99Max = max(p.latP99Max, s.LatencyP99)
 	}
 }
 
@@ -366,7 +366,7 @@ func mergePartial(res *Result, p *segPartial) {
 	res.EnergyKWh += p.energyJ
 	res.TransitionKWh += p.transJ
 	res.AvgPowerWatts += p.powerSum
-	res.PeakPowerWatts = math.Max(res.PeakPowerWatts, p.peakW)
+	res.PeakPowerWatts = max(res.PeakPowerWatts, p.peakW)
 	res.ServedOps += p.served
 	res.UnservedOps += p.unserved
 	res.AvgActive += float64(p.activeSum)
@@ -384,7 +384,7 @@ func mergePartial(res *Result, p *segPartial) {
 	res.AvgLatencyP50 += p.latP50
 	res.AvgLatencyP95 += p.latP95
 	res.AvgLatencyP99 += p.latP99
-	res.MaxLatencyP99 = math.Max(res.MaxLatencyP99, p.latP99Max)
+	res.MaxLatencyP99 = max(res.MaxLatencyP99, p.latP99Max)
 }
 
 // runSegment simulates steps [seg*segmentSteps, ...) after priming the

@@ -301,29 +301,31 @@ func TestWeeklyEnergyConverges(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocSteadyState asserts the tentpole's inner-loop
-// guarantee directly: once warm, a managed step allocates nothing.
+// TestStepZeroAllocSteadyState asserts the inner-loop guarantee
+// directly: once warm, a step allocates nothing under any policy.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	fleet := testFleet(t, rng, 100)
-	ev, err := cluster.NewEvaluator(fleet, cluster.PolicyPackPowerOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := testTrace(rng, 1000, ev.Capacity())
-	st := newStepper(Config{
-		Members: fleet,
-		Policy:  cluster.PolicyPackPowerOff,
-		Trace:   tr,
-		Power:   PowerConfig{OnSeconds: 30, OffSeconds: 10, HysteresisSteps: 5},
-	}, ev)
-	i := 0
-	step := func() {
-		st.Step(tr.DemandOps[i%len(tr.DemandOps)])
-		i++
-	}
-	step() // warm up
-	if avg := testing.AllocsPerRun(200, step); avg != 0 {
-		t.Fatalf("steady-state Step allocates %v per call, want 0", avg)
+	for _, policy := range cluster.AllPolicies() {
+		ev, err := cluster.NewEvaluator(fleet, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := testTrace(rng, 1000, ev.Capacity())
+		st := newStepper(Config{
+			Members: fleet,
+			Policy:  policy,
+			Trace:   tr,
+			Power:   PowerConfig{OnSeconds: 30, OffSeconds: 10, HysteresisSteps: 5},
+		}, ev)
+		i := 0
+		step := func() {
+			st.Step(tr.DemandOps[i%len(tr.DemandOps)])
+			i++
+		}
+		step() // warm up
+		if avg := testing.AllocsPerRun(200, step); avg != 0 {
+			t.Fatalf("%v: steady-state Step allocates %v per call, want 0", policy, avg)
+		}
 	}
 }

@@ -155,7 +155,7 @@ func (r *refSim) step(t testing.TB, tt int, demand float64) StepStats {
 		s.PowerWatts = ev.ActivePower(d, active)
 	} else {
 		s.ServedOps = math.Min(d, ev.Capacity())
-		s.PowerWatts = ev.PowerAt(d, ev.NewScratch())
+		s.PowerWatts = ev.PowerAt(d)
 	}
 	s.EnergyJ = s.PowerWatts*r.cfg.Trace.StepSeconds + s.TransitionJ
 	s.UnservedOps = d - s.ServedOps

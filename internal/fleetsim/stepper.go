@@ -18,7 +18,6 @@ import (
 type Stepper struct {
 	cfg Config
 	ev  *cluster.Evaluator
-	sc  *cluster.Scratch
 	sim *workload.Sim
 
 	// managed is true when the policy powers idle servers on and off
@@ -67,7 +66,6 @@ func newStepper(cfg Config, ev *cluster.Evaluator) *Stepper {
 	st := &Stepper{
 		cfg:     cfg,
 		ev:      ev,
-		sc:      ev.NewScratch(),
 		managed: cfg.Policy == cluster.PolicyPackPowerOff,
 		window:  cfg.Power.HysteresisSteps + 1,
 	}
@@ -168,8 +166,9 @@ func clampDemand(d float64) float64 {
 // returns the interval's accounting. The step cost is O(log n) for the
 // pack decision and power evaluation plus O(1) for the transition
 // pricing (prefix-sum differences), independent of how many servers
-// toggled; PolicySpread and PolicyOptimalRegion have no pack structure
-// and pay their inherent O(n) power sum.
+// toggled. PolicySpread and PolicyOptimalRegion have no pack structure:
+// their power is one pass over the evaluator's flat per-group arrays,
+// with at most one profile evaluated live.
 func (st *Stepper) Step(demandOps float64) StepStats {
 	d := clampDemand(demandOps)
 	t := st.t
@@ -200,11 +199,11 @@ func (st *Stepper) Step(demandOps float64) StepStats {
 
 	var watts, served float64
 	if st.managed {
-		served = math.Min(d, st.ev.PrefixCapacity(active))
+		served = min(d, st.ev.PrefixCapacity(active))
 		watts = st.ev.ActivePower(d, active)
 	} else {
-		served = math.Min(d, st.ev.Capacity())
-		watts = st.ev.PowerAt(d, st.sc)
+		served = min(d, st.ev.Capacity())
+		watts = st.ev.PowerAt(d)
 	}
 	s.PowerWatts = watts
 	s.TransitionJ = transJ

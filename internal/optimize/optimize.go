@@ -325,11 +325,11 @@ func newSpace(cfg Config) (*space, error) {
 		sp.perOps[i] = m.MaxOps
 		bestEE, minW := math.Inf(-1), math.Inf(1)
 		for _, pt := range m.Curve.Points() {
-			bestEE = math.Max(bestEE, m.EEAt(pt.Utilization))
-			minW = math.Min(minW, m.PowerAt(pt.Utilization))
+			bestEE = max(bestEE, m.EEAt(pt.Utilization))
+			minW = min(minW, m.PowerAt(pt.Utilization))
 		}
-		bestEE = math.Max(bestEE, m.EEAt(0))
-		minW = math.Min(minW, m.PowerAt(0))
+		bestEE = max(bestEE, m.EEAt(0))
+		minW = min(minW, m.PowerAt(0))
 		if bestEE <= 0 || math.IsInf(bestEE, 0) {
 			return nil, fmt.Errorf("optimize: model %s has no usable efficiency", m.ID)
 		}
@@ -450,7 +450,7 @@ func (sp *space) lowerBound(counts []int, policy cluster.Policy) float64 {
 		if c == 0 {
 			continue
 		}
-		bestEE = math.Max(bestEE, sp.lbEE[m])
+		bestEE = max(bestEE, sp.lbEE[m])
 		idleW += float64(c) * sp.lbIdleW[m]
 	}
 	if policy == cluster.PolicyPackPowerOff {
@@ -461,8 +461,8 @@ func (sp *space) lowerBound(counts []int, policy cluster.Policy) float64 {
 	var joules float64
 	rj := make([]float64, len(h.Rates))
 	for c, d := range h.BinOps {
-		served := math.Min(d, cap)
-		w := math.Max(served/bestEE, idleW)
+		served := min(d, cap)
+		w := max(served/bestEE, idleW)
 		e := h.Weight[c] * w * h.StepSeconds
 		joules += e
 		for s, rates := range h.Rates {
@@ -495,7 +495,6 @@ func (sp *space) score(id int64) (Candidate, bool) {
 	if err != nil {
 		return Candidate{}, false
 	}
-	sc := ev.NewScratch()
 	h := sp.hist
 	var joules float64
 	rj := make([]float64, len(h.Rates))
@@ -504,14 +503,14 @@ func (sp *space) score(id int64) (Candidate, bool) {
 		// accumulator in a register.
 		rates, rj0 := h.Rates[0], 0.0
 		for c, d := range h.BinOps {
-			e := h.Weight[c] * ev.PowerAt(d, sc) * h.StepSeconds
+			e := h.Weight[c] * ev.PowerAt(d) * h.StepSeconds
 			joules += e
 			rj0 += rates[c] * e
 		}
 		rj[0] = rj0
 	} else {
 		for c, d := range h.BinOps {
-			e := h.Weight[c] * ev.PowerAt(d, sc) * h.StepSeconds
+			e := h.Weight[c] * ev.PowerAt(d) * h.StepSeconds
 			joules += e
 			for s, rates := range h.Rates {
 				rj[s] += rates[c] * e

@@ -137,8 +137,12 @@ func (p *Profile) OpsAt(u float64) float64 {
 
 // PowerAt returns the absolute wall power at utilization u, linearly
 // interpolated between measured levels on the profile's lookup table.
-// Out-of-range utilizations clamp to [0, 1]; the call cannot fail.
+// Out-of-range utilizations clamp to [0, 1] and NaN draws NaN; the call
+// cannot fail.
 func (p *Profile) PowerAt(u float64) float64 {
+	if math.IsNaN(u) {
+		return u
+	}
 	u = clamp01(u)
 	if len(p.lutUtil) == 0 {
 		// Profile built without NewProfile: fall back to the curve path.
@@ -203,6 +207,24 @@ func (p *Profile) PeakPowerWatts() float64 {
 	return p.Curve.PeakPower()
 }
 
+// PowerTable returns the power lookup table PowerAt interpolates on: the
+// utilization grid, the power at each level normalized to the peak, and
+// the peak wattage, so PowerAt(u) is (norm[i-1] + f·(norm[i]-norm[i-1]))
+// · peakW on the grid segment i holding u. The slices are the profile's
+// own and must not be mutated. A profile built without NewProfile
+// derives the table from its curve on each call.
+func (p *Profile) PowerTable() (util, norm []float64, peakW float64) {
+	if len(p.lutUtil) > 0 {
+		return p.lutUtil, p.lutNorm, p.peakW
+	}
+	pts := p.Curve.Points()
+	util = make([]float64, len(pts))
+	for i, pt := range pts {
+		util[i] = pt.Utilization
+	}
+	return util, p.Curve.NormalizedPower(), p.Curve.PeakPower()
+}
+
 // OptimalEE returns the efficiency at the server's optimal utilization,
 // cached at construction: the planners sort whole fleets by it.
 func (p *Profile) OptimalEE() float64 {
@@ -212,7 +234,7 @@ func (p *Profile) OptimalEE() float64 {
 	return p.EEAt(p.OptimalUtilization)
 }
 
-func clamp01(u float64) float64 { return math.Max(0, math.Min(1, u)) }
+func clamp01(u float64) float64 { return max(0, min(1, u)) }
 
 // positiveFinite reports whether a demand or power cap is plannable:
 // NaN, ±Inf, zero and negative values are not.
@@ -271,14 +293,14 @@ func BuildClusters(profiles []*Profile, epBandWidth float64) ([]Cluster, error) 
 			cl := Cluster{Servers: cur, Region: curRegion}
 			cl.EPLow, cl.EPHigh = math.Inf(1), math.Inf(-1)
 			for _, s := range cur {
-				cl.EPLow = math.Min(cl.EPLow, s.EP)
-				cl.EPHigh = math.Max(cl.EPHigh, s.EP)
+				cl.EPLow = min(cl.EPLow, s.EP)
+				cl.EPHigh = max(cl.EPHigh, s.EP)
 			}
 			out = append(out, cl)
 		}
 		for _, s := range members {
-			lo := math.Max(curRegion.Lo, s.Region.Lo)
-			hi := math.Min(curRegion.Hi, s.Region.Hi)
+			lo := max(curRegion.Lo, s.Region.Lo)
+			hi := min(curRegion.Hi, s.Region.Hi)
 			if len(cur) > 0 && lo > hi {
 				flush()
 				cur = nil
@@ -361,17 +383,25 @@ type Group struct {
 	Count int
 }
 
-// GroupFill is one group's share of a grouped proportional fill. The
-// group's members split into at most three tiers in engage order: Hi
-// members at HiUtil, then at most one partially loaded member at
-// MidUtil, then Lo members at LoUtil. Hi+Mid+Lo == Count.
-type GroupFill struct {
+// Fill is a grouped proportional fill in compact form. Over groups in
+// engage order, every group before Group runs all its members at its
+// upper level and every group after Group at its lower level; Group
+// itself runs Hi members at the upper level, one member at MidUtil when
+// Mid is set, and the rest at the lower level. Until the fill tops up,
+// a group's upper level is its engage target and its lower level 0
+// (idle). Once every group sits at its engage target and demand
+// remains, TopUp is set: the upper level becomes the cap-limited top,
+// target + headroom/MaxOps, for a group with headroom under its cap (the
+// target for one without), and the lower level the engage target.
+// Group is len(order) when no group splits.
+type Fill struct {
+	Group   int
 	Hi      int
-	HiUtil  float64
-	Mid     int
+	Mid     bool
 	MidUtil float64
-	Lo      int
-	LoUtil  float64
+	TopUp   bool
+	// Remaining is the demand the fill leaves unserved.
+	Remaining float64
 }
 
 // EngageOrderGroups is the grouped form of EngageOrder: groups sorted
@@ -402,67 +432,51 @@ func splitRun(remaining, per float64, count int) int {
 }
 
 // FillGroups is the grouped core of ProportionalFill: it computes the
-// proportional-placement tiers for demandOps over groups already in
-// engage order, writing one GroupFill per group into fill (which must
-// have len(order)), and returns the unsatisfied remainder. Within a
-// run, member-at-a-time remainder updates collapse to the closed form
-// remaining - float64(j)*perMember; for runs of one server the
-// arithmetic is bit-for-bit the member scan's, which is what lets the
-// grouped cluster evaluator pin Float64bits-identical results against
-// the expanded fleet.
-func FillGroups(order []Group, demandOps float64, fill []GroupFill) float64 {
-	for i := range fill {
-		fill[i] = GroupFill{Lo: order[i].Count}
-	}
+// proportional-placement split of demandOps over groups already in
+// engage order. Within a run, member-at-a-time remainder updates
+// collapse to the closed form remaining - float64(j)*perMember; for
+// runs of one server the arithmetic is bit-for-bit the member scan's,
+// which is what lets the grouped cluster evaluator pin Float64bits-
+// identical results against the expanded fleet. The cost is one step
+// per group up to the marginal one, and no allocation.
+func FillGroups(order []Group, demandOps float64) Fill {
 	remaining := demandOps
 	for i, g := range order {
 		if remaining <= 0 {
-			break
+			return Fill{Group: i, Remaining: remaining}
 		}
-		target := math.Min(g.P.OptimalUtilization, g.P.maxUtil())
-		ops := g.P.OpsAt(target)
-		j := splitRun(remaining, ops, g.Count)
-		if j == g.Count {
-			fill[i] = GroupFill{Hi: g.Count, HiUtil: target}
-			remaining -= float64(g.Count) * ops
-			continue
+		ops := g.P.OpsAt(g.P.engageTarget())
+		if j := splitRun(remaining, ops, g.Count); j < g.Count {
+			return Fill{Group: i, Hi: j, Mid: true, MidUtil: (remaining - float64(j)*ops) / g.P.MaxOps}
 		}
-		fill[i] = GroupFill{
-			Hi: j, HiUtil: target,
-			Mid: 1, MidUtil: (remaining - float64(j)*ops) / g.P.MaxOps,
-			Lo: g.Count - j - 1,
-		}
-		remaining = 0
-		break
+		remaining -= float64(g.Count) * ops
 	}
-	// Top up toward each group's cap when demand requires it. Reaching
-	// here with remaining > 0 means every member sits exactly at its
-	// engage target (a partial member would have zeroed the remainder).
+	if remaining <= 0 {
+		return Fill{Group: len(order), Remaining: remaining}
+	}
+	// Every member sits exactly at its engage target (a partial member
+	// would have zeroed the remainder): top up toward each group's cap.
 	for i, g := range order {
 		if remaining <= 0 {
-			break
+			return Fill{Group: i, TopUp: true, Remaining: remaining}
 		}
-		base := fill[i].HiUtil
-		head := g.P.CappedOps() - g.P.OpsAt(base)
+		target := g.P.engageTarget()
+		head := g.P.CappedOps() - g.P.OpsAt(target)
 		if head <= 0 {
 			continue
 		}
-		j := splitRun(remaining, head, g.Count)
-		if j == g.Count {
-			fill[i] = GroupFill{Hi: g.Count, HiUtil: base + head/g.P.MaxOps}
-			remaining -= float64(g.Count) * head
-			continue
+		if j := splitRun(remaining, head, g.Count); j < g.Count {
+			take := remaining - float64(j)*head
+			return Fill{Group: i, Hi: j, Mid: true, MidUtil: target + take/g.P.MaxOps, TopUp: true}
 		}
-		take := remaining - float64(j)*head
-		fill[i] = GroupFill{
-			Hi: j, HiUtil: base + head/g.P.MaxOps,
-			Mid: 1, MidUtil: base + take/g.P.MaxOps,
-			Lo: g.Count - j - 1, LoUtil: base,
-		}
-		remaining = 0
+		remaining -= float64(g.Count) * head
 	}
-	return remaining
+	return Fill{Group: len(order), TopUp: true, Remaining: remaining}
 }
+
+// engageTarget is the utilization proportional placement holds the
+// server at before topping up: its optimal utilization, under its cap.
+func (p *Profile) engageTarget() float64 { return min(p.OptimalUtilization, p.maxUtil()) }
 
 // GroupRuns coalesces an ordered member list into maximal runs of
 // identical profiles (pointer equality). An all-distinct fleet yields
@@ -483,28 +497,38 @@ func GroupRuns(order []*Profile) []Group {
 // demandOps over a fleet already in engage order, writing them into
 // util (which must have len(order)), and returns the unsatisfied
 // remainder. It runs FillGroups over the fleet's runs and expands the
-// tiers back to per-member utilizations, so replicated fleets cost
-// O(runs·log run) instead of O(servers).
+// split back to per-member utilizations.
 func ProportionalFill(order []*Profile, demandOps float64, util []float64) float64 {
 	groups := GroupRuns(order)
-	fill := make([]GroupFill, len(groups))
-	remaining := FillGroups(groups, demandOps, fill)
+	f := FillGroups(groups, demandOps)
 	i := 0
-	for _, f := range fill {
-		for j := 0; j < f.Hi; j++ {
-			util[i] = f.HiUtil
-			i++
+	for gi, g := range groups {
+		upper, lower := g.P.engageTarget(), 0.0
+		if f.TopUp {
+			lower = upper
+			if head := g.P.CappedOps() - g.P.OpsAt(upper); head > 0 {
+				upper += head / g.P.MaxOps
+			}
 		}
-		if f.Mid > 0 {
-			util[i] = f.MidUtil
-			i++
+		hi, mid := g.Count, false
+		if gi == f.Group {
+			hi, mid = f.Hi, f.Mid
+		} else if gi > f.Group {
+			hi = 0
 		}
-		for j := 0; j < f.Lo; j++ {
-			util[i] = f.LoUtil
+		for j := 0; j < g.Count; j++ {
+			switch {
+			case j < hi:
+				util[i] = upper
+			case j == hi && mid:
+				util[i] = f.MidUtil
+			default:
+				util[i] = lower
+			}
 			i++
 		}
 	}
-	return remaining
+	return f.Remaining
 }
 
 // PlaceProportional is the paper-guided strategy: servers are engaged
@@ -540,7 +564,7 @@ func PackToFull(profiles []*Profile, demandOps float64, opts Options) (Plan, err
 		if remaining <= 0 {
 			break
 		}
-		take := math.Min(s.CappedOps(), remaining)
+		take := min(s.CappedOps(), remaining)
 		util[i] = take / s.MaxOps
 		remaining -= take
 	}
@@ -565,7 +589,7 @@ func SpreadEvenly(profiles []*Profile, demandOps float64, opts Options) (Plan, e
 	served := func(u float64) float64 {
 		var total float64
 		for _, s := range profiles {
-			total += s.OpsAt(math.Min(u, s.maxUtil()))
+			total += s.OpsAt(min(u, s.maxUtil()))
 		}
 		return total
 	}
@@ -581,9 +605,9 @@ func SpreadEvenly(profiles []*Profile, demandOps float64, opts Options) (Plan, e
 	u := hi
 	util := make([]float64, len(profiles))
 	for i, s := range profiles {
-		util[i] = math.Min(u, s.maxUtil())
+		util[i] = min(u, s.maxUtil())
 	}
-	remaining := math.Max(0, demandOps-capacity)
+	remaining := max(0, demandOps-capacity)
 	return assemble(profiles, util, demandOps, remaining, opts), nil
 }
 
@@ -643,7 +667,7 @@ func MaxThroughputUnderCap(profiles []*Profile, powerCapWatts float64, opts Opti
 	}
 	for i, s := range order {
 		base := 0.0
-		engage := math.Min(s.OptimalUtilization, s.maxUtil())
+		engage := s.engageTarget()
 		cost := marginal(s, 0, engage)
 		if opts.IdleServersOff {
 			cost = s.PowerAt(engage)

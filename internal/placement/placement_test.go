@@ -109,6 +109,16 @@ func TestProfilePhysics(t *testing.T) {
 	if p.OpsAt(2) != p.MaxOps || p.PowerAt(-1) != p.PowerAt(0) {
 		t.Error("utilization not clamped")
 	}
+	// NaN draws NaN, with or without the lookup table.
+	literal := &Profile{Curve: p.Curve, MaxOps: p.MaxOps}
+	for _, q := range []*Profile{p, literal} {
+		if got := q.PowerAt(math.NaN()); !math.IsNaN(got) {
+			t.Errorf("PowerAt(NaN) = %v, want NaN", got)
+		}
+		if got := q.EEAt(math.NaN()); !math.IsNaN(got) {
+			t.Errorf("EEAt(NaN) = %v, want NaN", got)
+		}
+	}
 }
 
 func TestLegacyProfilePeaksAtFull(t *testing.T) {

@@ -214,11 +214,10 @@ func fleetGauges(snap *Snapshot, corpus metrics.Label) ([]metrics.Family, error)
 		fleetIdle.Samples = append(fleetIdle.Samples, metrics.Sample{
 			Labels: []metrics.Label{corpus, pol}, Value: agg.IdleFraction(),
 		})
-		sc := ev.NewScratch()
 		for _, d := range demandFractions {
 			demand := metrics.Label{Name: "demand", Value: d.label}
 			ops := ev.Capacity() * d.frac
-			watts := ev.PowerAt(ops, sc)
+			watts := ev.PowerAt(ops)
 			power.Samples = append(power.Samples, metrics.Sample{
 				Labels: []metrics.Label{corpus, pol, demand}, Value: watts,
 			})
