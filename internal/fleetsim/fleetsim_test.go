@@ -44,8 +44,26 @@ func uniformFleet(t *testing.T, n int, opsEach, idleW, peakW float64) []*placeme
 // the trace into fixed segments across workers, and every emitted step
 // must be bit-identical to one sequential stepper walking the whole
 // trace — across worker counts, with hysteresis state crossing segment
-// boundaries and latency sampling on.
+// boundaries and latency sampling on. The long trace runs more segments
+// than Run keeps in flight at once, so delivery wraps past its window.
 func TestRunMatchesSequentialStepper(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		steps       int
+		latencyEach int
+	}{
+		// Segment boundaries at 4096 and 8192 sit mid-trace.
+		{"2.5 segments", 2*segmentSteps + segmentSteps/2, 97},
+		// Sparse latency sampling keeps the 67,584-step replays cheap.
+		{"16.5 segments", segmentBatch*segmentSteps + segmentSteps/2, 4099},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRunMatchesStepper(t, tc.steps, tc.latencyEach)
+		})
+	}
+}
+
+func checkRunMatchesStepper(t *testing.T, steps, latencyEach int) {
 	rng := rand.New(rand.NewSource(13))
 	// Small-capacity servers keep the sampled workload intervals cheap.
 	fleet := make([]*placement.Profile, 12)
@@ -56,8 +74,7 @@ func TestRunMatchesSequentialStepper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2.5 segments: segment boundaries at 4096 and 8192 sit mid-trace.
-	tr := testTrace(rng, 2*segmentSteps+segmentSteps/2, ev.Capacity())
+	tr := testTrace(rng, steps, ev.Capacity())
 	cfg := Config{
 		Members: fleet,
 		Policy:  cluster.PolicyPackPowerOff,
@@ -69,7 +86,7 @@ func TestRunMatchesSequentialStepper(t *testing.T) {
 			HeadroomFrac:    0.05,
 			MinActive:       1,
 		},
-		Latency: LatencyConfig{Every: 97},
+		Latency: LatencyConfig{Every: latencyEach},
 		Seed:    42,
 	}
 
