@@ -87,7 +87,8 @@ verify:
 	$(GO) run ./cmd/specverify -seed 1
 
 # Fuzz every target the CI verify job smokes, for a short burst each:
-# the EP metric kernel, the curve solvers, the EPFB v2 codec (each
+# the EP metric kernel, the curve solvers, the solver against its
+# pre-rewrite reference copy, the EPFB v2 codec (each
 # decoded row's metric columns checked against core.Curve), the CSV and
 # JSON corpus codecs, the CPU model parser, the OpenMetrics parser, the
 # intensity and demand-trace CSV parsers, the Theil-Sen slope median and
@@ -96,6 +97,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCurveEP -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzIdleForEP -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzSolveCurve -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/dataset

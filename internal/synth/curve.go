@@ -17,7 +17,7 @@ type normCurve struct {
 
 // trapezoidArea integrates the curve over utilization [0, 1] with the
 // trapezoid rule on the 11-point grid — the same quadrature Eq. 1 uses.
-func (c normCurve) trapezoidArea() float64 {
+func (c *normCurve) trapezoidArea() float64 {
 	area := 0.1 * (c.idle + c.levels[0]) / 2
 	for i := 1; i < 10; i++ {
 		area += 0.1 * (c.levels[i-1] + c.levels[i]) / 2
@@ -26,15 +26,18 @@ func (c normCurve) trapezoidArea() float64 {
 }
 
 // ep returns the curve's energy proportionality (Eq. 1).
-func (c normCurve) ep() float64 { return 2 - 2*c.trapezoidArea() }
+func (c *normCurve) ep() float64 { return 2 - 2*c.trapezoidArea() }
 
 // peakSpot returns the utilization level(s) maximizing u/p(u) — the
 // peak-efficiency spot(s) assuming throughput proportional to load —
-// and the ratio of the best to the runner-up (stability margin).
-func (c normCurve) peakSpot() (spot float64, margin float64) {
+// and the ratio of the best to the runner-up (stability margin). It
+// leaves each level's u/p in ratio.
+func (c *normCurve) peakSpot(ratio *[10]float64) (spot float64, margin float64) {
 	best, second := -1.0, -1.0
-	for i, u := range levelGrid {
+	for i := range c.levels {
+		u := levelGrid[i]
 		e := u / c.levels[i]
+		ratio[i] = e
 		if e > best {
 			second = best
 			best = e
@@ -50,70 +53,59 @@ func (c normCurve) peakSpot() (spot float64, margin float64) {
 }
 
 // monotone reports whether power strictly increases across the curve.
-func (c normCurve) monotone() bool {
+func (c *normCurve) monotone() bool {
 	prev := c.idle
-	for _, p := range c.levels {
-		if p <= prev {
+	for i := range c.levels {
+		if c.levels[i] <= prev {
 			return false
 		}
-		prev = p
+		prev = c.levels[i]
 	}
 	return true
 }
 
-// cubicShape evaluates s(u) = u + u(1-u)(a + b·u), a monotone-checked
-// S-curve family with s(0)=0 and s(1)=1 used to generate curve shapes.
-func cubicShape(a, b, u float64) float64 {
-	return u + u*(1-u)*(a+b*u)
-}
-
-// shapeCurve builds the normalized curve for shape (a, b) and idle k:
-// p(u) = k + (1-k)·s(u).
-func shapeCurve(a, b, k float64) normCurve {
-	var c normCurve
-	c.idle = k
-	for i, u := range levelGrid {
-		c.levels[i] = k + (1-k)*cubicShape(a, b, u)
+// fitShape sets c to the member of the cubic shape family
+// s(u) = u + u(1-u)(a + b·u), with s(0)=0 and s(1)=1, that has exactly
+// the target EP: p(u) = k + (1-k)·s(u). It is the only place the cubic
+// is evaluated, once per grid level, and it reports false — leaving c
+// unspecified — when:
+//   - the shape is inadmissible: s is not strictly increasing, or
+//     reaches the 100% power level before full load;
+//   - the idle fraction is outside the physical band. With A* = 1 − EP/2
+//     and G the shape's trapezoid area on the grid, k = (A* − G)/(1 − G);
+//   - rounding leaves the built curve not strictly increasing.
+func (c *normCurve) fitShape(a, b, ep float64) bool {
+	var s [10]float64
+	prev := 0.0
+	for i := range s {
+		u := levelGrid[i]
+		v := u + u*(1-u)*(a+b*u)
+		if v <= prev || (u < 1 && v >= 1) || v < 0 {
+			return false
+		}
+		s[i] = v
+		prev = v
 	}
-	return c
-}
-
-// shapeArea returns the trapezoid area of the raw shape s on the grid
-// (with s(0) = 0).
-func shapeArea(a, b float64) float64 {
-	area := 0.1 * cubicShape(a, b, 0.1) / 2
-	for i := 1; i < len(levelGrid); i++ {
-		area += 0.1 * (cubicShape(a, b, levelGrid[i-1]) + cubicShape(a, b, levelGrid[i])) / 2
+	g := 0.1 * s[0] / 2
+	for i := 1; i < len(s); i++ {
+		g += 0.1 * (s[i-1] + s[i]) / 2
 	}
-	return area
-}
-
-// idleForEP solves the idle fraction that makes the shape (a, b) hit
-// the target EP exactly: with A* = 1 − EP/2 and G the shape's area,
-// k = (A* − G)/(1 − G). ok is false when the required idle is outside
-// the physical band.
-func idleForEP(a, b, ep float64) (float64, bool) {
-	g := shapeArea(a, b)
 	if g >= 1 {
-		return 0, false
+		return false
 	}
 	k := (1 - ep/2 - g) / (1 - g)
 	if k < 0.015 || k > 0.93 {
-		return 0, false
+		return false
 	}
-	return k, true
-}
-
-// shapeAdmissible rejects shapes that are non-monotone or overshoot the
-// 100% power level before full load.
-func shapeAdmissible(a, b float64) bool {
-	prev := 0.0
-	for _, u := range levelGrid {
-		s := cubicShape(a, b, u)
-		if s <= prev || (u < 1 && s >= 1) || s < 0 {
+	c.idle = k
+	prev = k
+	for i := range s {
+		p := k + (1-k)*s[i]
+		if p <= prev {
 			return false
 		}
-		prev = s
+		c.levels[i] = p
+		prev = p
 	}
 	return true
 }
@@ -151,26 +143,14 @@ func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 	aStar := 1 - ep/2
 	gTarget := (aStar - targetIdle) / (1 - targetIdle)
 
-	var (
-		fallback    normCurve
-		haveFall    bool
-		fallbackGap = math.Inf(1)
-	)
-	consider := func(c normCurve) (normCurve, bool) {
-		if !c.monotone() {
-			return normCurve{}, false
+	s := curveSolver{ep: ep, wantSpot: wantSpot, spotIdx: -1, fallbackGap: math.Inf(1)}
+	// The spot can only be forced below full load, whose power is
+	// pinned to 1 by normalization.
+	for i, u := range levelGrid {
+		if u == wantSpot && u < 1 {
+			s.spotIdx = i
+			break
 		}
-		spot, margin := c.peakSpot()
-		if spot == wantSpot && margin >= peakMargin {
-			return c, true
-		}
-		if forced, ok := forceSpot(c, wantSpot, ep); ok {
-			return forced, true
-		}
-		if gap := math.Abs(spot - wantSpot); gap < fallbackGap && margin >= peakMargin {
-			fallback, haveFall, fallbackGap = c, true, gap
-		}
-		return normCurve{}, false
 	}
 	for attempt := 0; attempt < 200; attempt++ {
 		// One shape degree of freedom comes from the area constraint
@@ -178,90 +158,117 @@ func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 		// other is sampled.
 		a := -1.0 + 2.0*rng.Float64()
 		b := 12 * (gTarget - 0.5 - a/6)
-		if b < -1.6 || b > 1.6 || !shapeAdmissible(a, b) {
+		if b < -1.6 || b > 1.6 {
 			continue
 		}
-		k, ok := idleForEP(a, b, ep)
-		if !ok {
-			continue
-		}
-		if c, ok := consider(shapeCurve(a, b, k)); ok {
-			return c
+		if s.try(a, b) {
+			return s.c
 		}
 	}
 	// Relax the idle constraint: free search over the family.
 	for attempt := 0; attempt < 400; attempt++ {
 		a := -1.0 + 2.0*rng.Float64()
 		b := -1.2 + 2.4*rng.Float64()
-		if !shapeAdmissible(a, b) {
-			continue
-		}
-		k, ok := idleForEP(a, b, ep)
-		if !ok {
-			continue
-		}
-		if c, ok := consider(shapeCurve(a, b, k)); ok {
-			return c
+		if s.try(a, b) {
+			return s.c
 		}
 	}
-	if haveFall {
-		return fallback
+	if s.haveFall {
+		return s.fallback
 	}
-	// Last resort: a plain linear curve with the exact EP (idle 1−EP),
-	// valid for any EP ≤ ~0.98; steeper EPs always admit a cubic above,
-	// so this branch only serves degenerate inputs.
+	// Last resort: a plain linear curve (s(u) = u) with the exact EP
+	// (idle 1−EP), valid for any EP ≤ ~0.98; steeper EPs always admit a
+	// cubic above, so this branch only serves degenerate inputs.
 	k := 1 - ep
 	if k < 0.015 {
 		k = 0.015
 	}
-	return shapeCurve(0, 0, k)
+	c := normCurve{idle: k}
+	for i := range c.levels {
+		c.levels[i] = k + (1-k)*levelGrid[i]
+	}
+	return c
 }
 
-// forceSpot nudges the power at the desired peak-efficiency level just
-// low enough to win the argmax with margin, then re-blends the curve to
-// the exact EP and verifies the spot survived. It never forces a peak
-// at 100% (the level's power is pinned to 1 by normalization).
-func forceSpot(c normCurve, spot, ep float64) (normCurve, bool) {
-	if spot >= 1 {
-		return normCurve{}, false
+// curveSolver is one solveCurve call's search state. It lives on the
+// caller's stack, and each attempt overwrites its candidate in place.
+type curveSolver struct {
+	ep, wantSpot float64
+	// spotIdx is wantSpot's grid index, or -1 when forceSpot cannot
+	// place the peak there.
+	spotIdx int
+	// c is the current candidate; ratio holds its u/p at each level.
+	c     normCurve
+	ratio [10]float64
+	// fallback is the admissible candidate whose spot came closest to
+	// wantSpot, at fallbackGap.
+	fallback    normCurve
+	haveFall    bool
+	fallbackGap float64
+}
+
+// try fits shape (a, b) as the candidate and reports whether it, or
+// the candidate forceSpot makes of it, peaks at wantSpot with margin.
+// A candidate that misses is kept as the fallback when it comes closer
+// than any before it; it is saved before forceSpot overwrites it, which
+// changes nothing, since the solver returns as soon as forceSpot
+// succeeds.
+func (s *curveSolver) try(a, b float64) bool {
+	if !s.c.fitShape(a, b, s.ep) {
+		return false
 	}
-	idx := -1
-	for i, u := range levelGrid {
-		if u == spot {
-			idx = i
-			break
-		}
+	spot, margin := s.c.peakSpot(&s.ratio)
+	if spot == s.wantSpot && margin >= peakMargin {
+		return true
 	}
+	if gap := math.Abs(spot - s.wantSpot); gap < s.fallbackGap && margin >= peakMargin {
+		s.fallback, s.haveFall, s.fallbackGap = s.c, true, gap
+	}
+	return s.forceSpot()
+}
+
+// forceSpot nudges the candidate's power at the wanted peak-efficiency
+// level just low enough to win the argmax with margin, then re-blends
+// the curve to the exact EP and verifies the spot survived. It reads
+// the candidate's u/p ratios from try's peakSpot, and it overwrites the
+// candidate whether or not it succeeds.
+func (s *curveSolver) forceSpot() bool {
+	idx := s.spotIdx
 	if idx < 0 {
-		return normCurve{}, false
+		return false
 	}
+	c := &s.c
 	maxOther := 0.0
-	for i, u := range levelGrid {
-		if i == idx {
-			continue
-		}
-		if e := u / c.levels[i]; e > maxOther {
-			maxOther = e
+	for i := range s.ratio {
+		if i != idx && s.ratio[i] > maxOther {
+			maxOther = s.ratio[i]
 		}
 	}
 	// p at the spot must satisfy u/p ≥ margin·maxOther.
+	spot := levelGrid[idx]
 	need := spot / (maxOther * (peakMargin + 0.004))
 	if need >= c.levels[idx] {
-		return normCurve{}, false // argmax was already elsewhere by margin
+		return false // argmax was already elsewhere by margin
 	}
-	nudged := c
-	nudged.levels[idx] = need
-	if !nudged.monotone() {
-		return normCurve{}, false
+	// The candidate is monotone, so the nudged curve is monotone unless
+	// the new level falls out of order with one of its neighbours
+	// (idx < 9: the spot is below full load).
+	below := c.idle
+	if idx > 0 {
+		below = c.levels[idx-1]
 	}
-	out := blendToEP(nudged, ep)
-	if !out.monotone() {
-		return normCurve{}, false
+	if need <= below || c.levels[idx+1] <= need {
+		return false
 	}
-	if s, m := out.peakSpot(); s != spot || m < peakMargin {
-		return normCurve{}, false
+	c.levels[idx] = need
+	c.blendToEP(s.ep)
+	if !c.monotone() {
+		return false
 	}
-	return out, true
+	if sp, m := c.peakSpot(&s.ratio); sp != spot || m < peakMargin {
+		return false
+	}
+	return true
 }
 
 func clampF(v, lo, hi float64) float64 {
@@ -270,45 +277,46 @@ func clampF(v, lo, hi float64) float64 {
 
 // flatRef is a nearly flat reference curve (EP ≈ 0.05) used to pull a
 // handcrafted curve's EP down.
-func flatRef() normCurve {
-	var c normCurve
-	c.idle = 0.95
+var flatRef = func() normCurve {
+	c := normCurve{idle: 0.95}
 	for i := range c.levels {
 		c.levels[i] = 0.95 + 0.05*levelGrid[i]
 	}
 	return c
-}
+}()
 
 // convexRef is a super-proportional reference (p = u², EP ≈ 1.33) used
 // to pull a handcrafted curve's EP up.
-func convexRef() normCurve {
+var convexRef = func() normCurve {
 	var c normCurve
 	for i, u := range levelGrid {
 		c.levels[i] = u * u
 	}
 	return c
-}
+}()
 
-// blendToEP adjusts a handcrafted curve to an exact EP target by convex
-// blending with a reference curve on the far side of the target. EP is
-// a linear functional of the curve, so the blend weight solves exactly:
-// λ = (target − ep(curve)) / (ep(ref) − ep(curve)). Handcrafted curves
-// sit close to their targets, so λ stays small and the curve's
-// qualitative features (crossing structure, peak spot) survive; the
-// anchor tests assert them after blending.
-func blendToEP(c normCurve, target float64) normCurve {
+// The reference curves' EPs, computed once.
+var flatRefEP, convexRefEP = flatRef.ep(), convexRef.ep()
+
+// blendToEP adjusts a handcrafted curve, in place, to an exact EP
+// target by convex blending with a reference curve on the far side of
+// the target. EP is a linear functional of the curve, so the blend
+// weight solves exactly: λ = (target − ep(curve)) / (ep(ref) − ep(curve)).
+// Handcrafted curves sit close to their targets, so λ stays small and
+// the curve's qualitative features (crossing structure, peak spot)
+// survive; the anchor tests assert them after blending.
+func (c *normCurve) blendToEP(target float64) {
 	base := c.ep()
 	if base == target {
-		return c
+		return
 	}
-	ref := flatRef()
+	ref, refEP := &flatRef, flatRefEP
 	if target > base {
-		ref = convexRef()
+		ref, refEP = &convexRef, convexRefEP
 	}
-	lambda := (target - base) / (ref.ep() - base)
-	out := normCurve{idle: (1-lambda)*c.idle + lambda*ref.idle}
+	lambda := (target - base) / (refEP - base)
+	c.idle = (1-lambda)*c.idle + lambda*ref.idle
 	for i := range c.levels {
-		out.levels[i] = (1-lambda)*c.levels[i] + lambda*ref.levels[i]
+		c.levels[i] = (1-lambda)*c.levels[i] + lambda*ref.levels[i]
 	}
-	return out
 }

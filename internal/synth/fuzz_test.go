@@ -104,10 +104,10 @@ func FuzzCurveEP(f *testing.F) {
 }
 
 // FuzzIdleForEP round-trips the generator's two curve solvers: the
-// exact idle-for-EP inversion over the cubic shape family, and the
-// Eq. 2 inversion. Whenever idleForEP accepts a target the resulting
-// curve must hit that EP to round-off, and idleFromEq2 must invert
-// Eq. 2 exactly.
+// exact idle-for-EP inversion over the cubic shape family (fitShape),
+// and the Eq. 2 inversion. Whenever fitShape accepts a target the idle
+// must sit inside the physical band and the curve must hit that EP to
+// round-off, and idleFromEq2 must invert Eq. 2 exactly.
 func FuzzIdleForEP(f *testing.F) {
 	rp, err := NewRepository(Config{Seed: 1})
 	if err != nil {
@@ -126,17 +126,14 @@ func FuzzIdleForEP(f *testing.F) {
 			math.Abs(a) > 2 || math.Abs(b) > 2 || ep <= 0.01 || ep >= 1.8 {
 			t.Skip()
 		}
-		if !shapeAdmissible(a, b) {
-			t.Skip()
-		}
-		if k, ok := idleForEP(a, b, ep); ok {
-			if k < 0.015 || k > 0.93 {
-				t.Fatalf("idleForEP(%v, %v, %v) = %v outside the physical band", a, b, ep, k)
+		var c normCurve
+		if c.fitShape(a, b, ep) {
+			if k := c.idle; k < 0.015 || k > 0.93 {
+				t.Fatalf("fitShape(%v, %v, %v) idle %v outside the physical band", a, b, ep, k)
 			}
-			c := shapeCurve(a, b, k)
 			if got := c.ep(); math.Abs(got-ep) > 1e-9 {
-				t.Fatalf("shapeCurve(%v, %v, %v).ep() = %v, want %v (Δ %v)",
-					a, b, k, got, ep, got-ep)
+				t.Fatalf("fitShape(%v, %v, %v).ep() = %v, want %v (Δ %v)",
+					a, b, ep, got, ep, got-ep)
 			}
 		}
 		if ep < eq2A { // Eq. 2 only covers EPs below its A asymptote at idle ≥ 0
@@ -145,5 +142,25 @@ func FuzzIdleForEP(f *testing.F) {
 				t.Fatalf("Eq. 2 round trip: idleFromEq2(%v) = %v maps back to %v", ep, idle, back)
 			}
 		}
+	})
+}
+
+// FuzzSolveCurve compares the solver with its pre-rewrite reference
+// copy (solver_ref_test.go) on arbitrary seeds, EP targets and wanted
+// spots: the curve bits and the next draw must match.
+func FuzzSolveCurve(f *testing.F) {
+	// Inputs that reach each of the reference's exits: first loop,
+	// second loop, forced, fallback, and the linear last resort.
+	f.Add(int64(1), 0.62, uint8(9))
+	f.Add(int64(1), 0.05, uint8(9))
+	f.Add(int64(1), 0.35, uint8(8))
+	f.Add(int64(1), 0.7, uint8(5))
+	f.Add(int64(1), 0.01, uint8(9))
+
+	f.Fuzz(func(t *testing.T, seed int64, ep float64, spot uint8) {
+		if !(ep > 0 && ep < 2) {
+			t.Skip()
+		}
+		compareSolver(t, seed, ep, solverSpots[int(spot)%len(solverSpots)])
 	})
 }

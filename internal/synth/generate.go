@@ -488,7 +488,7 @@ func (g *generator) drawResult(bp *blueprint) (resultDraws, error) {
 	if bp.anchor != nil {
 		d.curve = bp.anchor.curve
 		if bp.anchor.ep > 0 {
-			d.curve = blendToEP(d.curve, bp.anchor.ep)
+			d.curve.blendToEP(bp.anchor.ep)
 		}
 	} else {
 		d.curve = solveCurve(g.rng, bp.epTarget, bp.spot)
