@@ -289,8 +289,9 @@ func (p *segPartial) add(s StepStats) {
 // Run replays the trace against the fleet. Trace segments of fixed
 // size simulate independently across internal/par workers — each
 // segment's stepper rebuilds the exact sequential state by replaying
-// the hysteresis window before its first step — and both the summary
-// reduction and the Sink emission happen in segment order, so the
+// the hysteresis window before its first step — and stream to the
+// calling goroutine, which emits them to the Sink and reduces the
+// summary in segment order while later segments simulate, so the
 // result and every emitted step are byte-identical at any worker
 // count.
 func Run(cfg Config) (Result, error) {
@@ -312,29 +313,23 @@ func Run(cfg Config) (Result, error) {
 	}
 	var eeSum float64
 	var eeSteps int
-	for lo := 0; lo < segs; lo += segmentBatch {
-		hi := lo + segmentBatch
-		if hi > segs {
-			hi = segs
-		}
-		parts, err := par.MapErr(hi-lo, func(i int) (*segPartial, error) {
-			return runSegment(cfg, ev, demands, lo+i, cfg.Sink != nil), nil
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		for _, p := range parts {
-			if cfg.Sink != nil {
-				for _, s := range p.steps {
-					if err := cfg.Sink(s); err != nil {
-						return Result{}, err
-					}
+	err = par.Stream(segs, segmentBatch, func(seg int) (*segPartial, error) {
+		return runSegment(cfg, ev, demands, seg, cfg.Sink != nil), nil
+	}, func(_ int, p *segPartial) error {
+		if cfg.Sink != nil {
+			for _, s := range p.steps {
+				if err := cfg.Sink(s); err != nil {
+					return err
 				}
 			}
-			mergePartial(&res, p)
-			eeSum += p.eeSum
-			eeSteps += p.eeSteps
 		}
+		mergePartial(&res, p)
+		eeSum += p.eeSum
+		eeSteps += p.eeSteps
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
 	n := float64(steps)

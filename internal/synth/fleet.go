@@ -91,30 +91,19 @@ func GenerateFleetStore(cfg FleetConfig) (*dataset.ColumnStore, error) {
 // column store to fn in shard order, then drops it. It is the only
 // fleet generator loop: GenerateFleet and GenerateFleetStore collect
 // what it delivers, and specgen streams million-server corpora to disk
-// through it in bounded memory. Shards materialize in parallel, four
-// per worker at a time, so every worker stays busy and the in-flight
-// window depends on the worker count, not the fleet size. fn runs
-// serially; an error from fn or the generator aborts the stream.
+// through it in bounded memory. Shards generate in parallel through
+// par.Stream, at most four per worker in flight, so the window depends
+// on the worker count, not the fleet size. fn runs on the caller's
+// goroutine, one shard at a time, while later shards keep generating;
+// an error from fn or the generator aborts the stream.
 func GenerateFleetShards(cfg FleetConfig, fn func(shard int, cs *dataset.ColumnStore) error) error {
 	if cfg.Servers <= 0 || cfg.Servers > maxFleetServers {
 		return fmt.Errorf("synth: fleet size %d outside [1, %d]", cfg.Servers, maxFleetServers)
 	}
 	shards := (cfg.Servers-1)/fleetShardSize + 1
-	batch := 4 * par.Workers(shards)
-	for lo := 0; lo < shards; lo += batch {
-		stores, err := par.MapErr(min(batch, shards-lo), func(i int) (*dataset.ColumnStore, error) {
-			return generateShard(cfg, lo+i)
-		})
-		if err != nil {
-			return err
-		}
-		for i, cs := range stores {
-			if err := fn(lo+i, cs); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return par.Stream(shards, 4*par.Workers(shards), func(s int) (*dataset.ColumnStore, error) {
+		return generateShard(cfg, s)
+	}, fn)
 }
 
 // generateShard samples shard s into a column store. Every server is
