@@ -173,7 +173,7 @@ func TestNewGroupedEvaluatorAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	groups := randomGroups(t, rng, 5, 9)
 	for policy, budget := range map[Policy]float64{
-		PolicySpread: 4, PolicyPack: 9, PolicyPackPowerOff: 9, PolicyOptimalRegion: 8,
+		PolicySpread: 4, PolicyPack: 4, PolicyPackPowerOff: 4, PolicyOptimalRegion: 5,
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := NewGroupedEvaluator(groups, policy); err != nil {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -410,7 +411,19 @@ type Fill struct {
 // (runs stay contiguous and ties keep input order).
 func EngageOrderGroups(groups []Group) []Group {
 	order := append([]Group(nil), groups...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].P.OptimalEE() > order[j].P.OptimalEE() })
+	// cmp is negative exactly where EngageOrder's "greater efficiency
+	// first" predicate says less, so both stable sorts make the same
+	// decisions, NaN efficiencies included.
+	slices.SortStableFunc(order, func(a, b Group) int {
+		ea, eb := a.P.OptimalEE(), b.P.OptimalEE()
+		switch {
+		case ea > eb:
+			return -1
+		case eb > ea:
+			return 1
+		}
+		return 0
+	})
 	return order
 }
 
