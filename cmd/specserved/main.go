@@ -33,16 +33,23 @@
 //
 // Cached GET endpoints additionally accept ?seed=N and ?servers=M
 // (synthetic servers only) to address workspace scenarios.
+//
+// SIGINT or SIGTERM stops accepting connections and lets in-flight
+// requests finish for up to 30 seconds before the process exits.
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -55,13 +62,31 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "specserved:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+// Connection limits. A client gets readHeaderTimeout to send its
+// request headers and may hold an idle keep-alive connection for
+// idleTimeout. There is no write timeout: a cold report render runs
+// inside the handler before the first byte is written, and with sweeps
+// at -sweep-seconds 240 it takes far longer than any bound that would
+// still catch a stuck client.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// shutdownTimeout bounds how long in-flight requests may run once
+	// the context is done.
+	shutdownTimeout = 30 * time.Second
+)
+
+// run serves until ctx is done, then shuts the server down gracefully.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := cli.New("specserved",
 		"[-addr :8080] [-seed N] [-in FILE] [-no-sweeps] [-sweep-seconds S] [-selftest]",
 		"serves the report, figures and metrics over HTTP from a snapshot cache", stderr)
@@ -119,8 +144,37 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return selfTest(srv, synthetic, stdout)
 	}
 
-	fmt.Fprintf(stderr, "specserved: listening on %s\n", *addr)
-	return http.ListenAndServe(*addr, srv.Handler())
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "specserved: listening on %s\n", ln.Addr())
+	return serveHTTP(ctx, ln, srv.Handler(), stderr)
+}
+
+// serveHTTP serves h on ln until ctx is done, then stops accepting
+// connections and waits up to shutdownTimeout for in-flight requests
+// before closing whatever is left.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler, stderr io.Writer) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stderr, "specserved: shutting down")
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownTimeout)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		hs.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // verifySnapshot runs the fast invariant categories (structural and

@@ -1,14 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Bad flags are errors naming the flag, returned before the server
 // builds a corpus or listens. Every case here fails during flag
-// checking, so none of them reaches http.ListenAndServe.
+// checking, so none of them reaches the listener.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -20,9 +26,66 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-workspace", "-1"}, "-workspace"},
 	} {
 		var out, errBuf bytes.Buffer
-		err := run(c.args, &out, &errBuf)
+		err := run(context.Background(), c.args, &out, &errBuf)
 		if err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("args %v: error %v does not name %s", c.args, err, c.flag)
 		}
+	}
+}
+
+// TestRunServesUntilCancelled starts the server on an ephemeral
+// loopback port, reads the bound address from the "listening on" line,
+// checks /healthz, then cancels the context: run must return nil within
+// the deadline and the port must refuse connections.
+func TestRunServesUntilCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-no-sweeps"}, io.Discard, pw)
+		pw.Close()
+		done <- err
+	}()
+	addrc := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if addr, ok := strings.CutPrefix(sc.Text(), "specserved: listening on "); ok {
+				addrc <- addr
+			}
+		}
+	}()
+
+	var addr string
+	select {
+	case addr = <-addrc:
+	case err := <-done:
+		t.Fatalf("run returned before listening: %v", err)
+	case <-time.After(time.Minute):
+		t.Fatal("no listening line within a minute")
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
+		t.Fatalf("healthz: status %d body %q err %v", resp.StatusCode, body, err)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after cancel: %v", err)
+		}
+	case <-time.After(shutdownTimeout + 10*time.Second):
+		t.Fatal("run did not return after its context was cancelled")
+	}
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Fatalf("%s still accepts connections after shutdown", addr)
 	}
 }
