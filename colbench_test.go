@@ -55,6 +55,40 @@ func BenchmarkColumnarGenerate10k(b *testing.B)  { benchmarkColumnarGenerate(b, 
 func BenchmarkColumnarGenerate100k(b *testing.B) { benchmarkColumnarGenerate(b, 100_000) }
 func BenchmarkColumnarGenerate1M(b *testing.B)   { benchmarkColumnarGenerate(b, 1_000_000) }
 
+// BenchmarkColumnarGenerateEPFB100k is the generation stage of a
+// fleet-batch pass (specgen -format epfb into memory): shards stream
+// from GenerateFleetShards into a ColumnWriter over a reused buffer.
+// Unlike GenerateFleetStore, whose per-shard callback only collects,
+// the callback here encodes, so the benchmark shows how well shard
+// generation overlaps with the caller's consumption.
+func BenchmarkColumnarGenerateEPFB100k(b *testing.B) {
+	const n = 100_000
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		cw, err := repro.NewColumnWriter(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := 0
+		err = repro.GenerateFleetShards(repro.FleetConfig{Seed: 1, Servers: n}, func(_ int, cs *repro.ColumnStore) error {
+			rows += cs.Len()
+			return cw.WriteChunk(cs)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := cw.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if rows != n {
+			b.Fatalf("streamed %d rows", rows)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
 // ---- binary load: EPFB v2 through ReadColumnsBytes ----
 //
 // ReadColumnsBytes is the ReadPath route for on-disk corpora: whole
