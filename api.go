@@ -165,7 +165,9 @@ func GenerateFleetStore(cfg FleetConfig) (*ColumnStore, error) {
 
 // GenerateFleetShards streams the fleet shard by shard, in order, to
 // fn — the bounded-memory path for writing million-server corpora to
-// disk (each shard is ~1k rows; pair with a ColumnWriter).
+// disk (each shard is ~1k rows; pair with a ColumnWriter). fn runs on
+// the caller's goroutine, one shard at a time, while later shards
+// generate in parallel.
 func GenerateFleetShards(cfg FleetConfig, fn func(shard int, cs *ColumnStore) error) error {
 	return synth.GenerateFleetShards(cfg, fn)
 }
