@@ -367,7 +367,7 @@ type (
 	MetricsSample = metrics.Sample
 	// MetricsLabel is one label pair on a sample.
 	MetricsLabel = metrics.Label
-	// MetricsType distinguishes gauge from counter families.
+	// MetricsType distinguishes gauge, counter and histogram families.
 	MetricsType = metrics.Type
 )
 

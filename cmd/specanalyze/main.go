@@ -19,9 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/dataset"
 	"repro/internal/report"
-	"repro/internal/synth"
 )
 
 func main() {
@@ -47,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	rp, err := loadRepository(*in, *seed)
+	rp, err := cli.LoadCorpus(*in, *seed)
 	if err != nil {
 		return err
 	}
@@ -97,11 +95,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, summary)
 	}
 	return nil
-}
-
-func loadRepository(path string, seed int64) (*dataset.Repository, error) {
-	if path == "" {
-		return synth.NewRepository(synth.Config{Seed: seed})
-	}
-	return dataset.ReadPath(path)
 }

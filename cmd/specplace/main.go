@@ -35,7 +35,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/par"
 	"repro/internal/placement"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -90,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers > 0 {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(*workers))
 	}
-	rp, err := load(*in, *seed)
+	rp, err := cli.LoadCorpus(*in, *seed)
 	if err != nil {
 		return err
 	}
@@ -283,13 +282,6 @@ func parseRegions(s string, metric optimize.Metric, shape *trace.IntensityProfil
 		return nil, fmt.Errorf("empty -regions")
 	}
 	return out, nil
-}
-
-func load(path string, seed int64) (*dataset.Repository, error) {
-	if path == "" {
-		return synth.NewRepository(synth.Config{Seed: seed})
-	}
-	return dataset.ReadPath(path)
 }
 
 // sampleServers draws n servers from the dataset. A non-zero seed

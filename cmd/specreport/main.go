@@ -14,10 +14,8 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/dataset"
 	"repro/internal/par"
 	"repro/internal/report"
-	"repro/internal/synth"
 )
 
 func main() {
@@ -50,12 +48,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(*workers))
 	}
 
-	var rp *dataset.Repository
-	if *in == "" {
-		rp, err = synth.NewRepository(synth.Config{Seed: *seed})
-	} else {
-		rp, err = load(*in)
-	}
+	rp, err := cli.LoadCorpus(*in, *seed)
 	if err != nil {
 		return err
 	}
@@ -94,8 +87,4 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	_, err = io.WriteString(w, text)
 	return err
-}
-
-func load(path string) (*dataset.Repository, error) {
-	return dataset.ReadPath(path)
 }

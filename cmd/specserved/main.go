@@ -11,7 +11,8 @@
 // LRU-bounded workspace (loads coalesce; evicted scenarios reload
 // byte-identically). GET /metrics exposes corpus-, fleet- and
 // serve-level gauges and counters as OpenMetrics, one corpus label per
-// resident scenario.
+// resident scenario, with a request-latency histogram per endpoint
+// class.
 //
 // Usage:
 //
@@ -29,7 +30,6 @@
 //	GET  /api/v1/summary
 //	POST /api/v1/reload?seed=N
 //	GET  /metrics                             (OpenMetrics exposition)
-//	GET  /debug/stats
 //
 // Cached GET endpoints additionally accept ?seed=N and ?servers=M
 // (synthetic servers only) to address workspace scenarios.
@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	cfg := serve.Config{Seed: *seed, Sweeps: !*noSweeps, SweepSeconds: *sweepSec, WorkspaceCap: *wsCap}
 	if *in != "" {
-		rp, err := load(*in)
+		rp, err := dataset.ReadPath(*in)
 		if err != nil {
 			return err
 		}
@@ -259,23 +259,27 @@ func selfTest(srv *serve.Server, synthetic bool, out io.Writer) error {
 	fmt.Fprintln(out, "etag: revalidation returns 304 with empty body")
 
 	// 4. Every figure in both advertised forms, plus the metric and
-	// listing endpoints.
+	// listing endpoints, counting the figures class's requests.
+	figureRequests := 0
 	for _, id := range report.FigureIDs() {
 		if err := expectOK(client, base+"/api/v1/figures/"+id); err != nil {
 			return fmt.Errorf("selftest figure %s: %w", id, err)
 		}
+		figureRequests++
 		if report.FigureHasSVG(id) {
 			if err := expectOK(client, base+"/api/v1/figures/"+id+"?format=svg"); err != nil {
 				return fmt.Errorf("selftest figure %s svg: %w", id, err)
 			}
+			figureRequests++
 		}
 	}
 	for _, p := range []string{"/api/v1/figures", "/api/v1/metrics/ep", "/api/v1/metrics/ee",
-		"/api/v1/metrics/correlations", "/api/v1/servers?year=2016", "/api/v1/summary", "/debug/stats"} {
+		"/api/v1/metrics/correlations", "/api/v1/servers?year=2016", "/api/v1/summary"} {
 		if err := expectOK(client, base+p); err != nil {
 			return fmt.Errorf("selftest %s: %w", p, err)
 		}
 	}
+	figureRequests++ // the index
 	fmt.Fprintf(out, "figures: %d selectors serve text (chart-backed ones serve SVG)\n", len(report.FigureIDs()))
 
 	// 5. Reload at the same seed over HTTP, then re-run the paper
@@ -309,9 +313,10 @@ func selfTest(srv *serve.Server, synthetic bool, out io.Writer) error {
 
 	// 6. OpenMetrics: every scrape must lint (the strict internal
 	// parser is the openmetrics-lint equivalent), cover the corpus,
-	// fleet and serve family groups, and — once the per-snapshot gauges
-	// are memoized — answer warm in about a millisecond.
-	if err := checkScrape(srv, client, base, synthetic, out); err != nil {
+	// fleet and serve family groups, count the figure requests above in
+	// the latency histogram, and — once the per-snapshot gauges are
+	// memoized — answer warm in about a millisecond.
+	if err := checkScrape(srv, client, base, synthetic, figureRequests, out); err != nil {
 		return fmt.Errorf("selftest metrics: %w", err)
 	}
 
@@ -321,9 +326,10 @@ func selfTest(srv *serve.Server, synthetic bool, out io.Writer) error {
 
 // checkScrape lints the /metrics exposition with the strict internal
 // OpenMetrics parser, asserts the family groups the PR 9 contract
-// names, exercises a keyed scenario (synthetic servers), and measures
-// warm-scrape latency.
-func checkScrape(srv *serve.Server, client *http.Client, base string, synthetic bool, out io.Writer) error {
+// names, requires the latency histogram to count at least the
+// figureRequests the selftest made, exercises a keyed scenario
+// (synthetic servers), and measures warm-scrape latency.
+func checkScrape(srv *serve.Server, client *http.Client, base string, synthetic bool, figureRequests int, out io.Writer) error {
 	if synthetic {
 		// Load one keyed scenario first so the scrape spans two corpora.
 		if err := expectOK(client, base+fmt.Sprintf("/api/v1/summary?seed=%d&servers=64", srv.Snapshot().Seed)); err != nil {
@@ -351,12 +357,16 @@ func checkScrape(srv *serve.Server, client *http.Client, base string, synthetic 
 		"spec_fleet_ep", "spec_fleet_power_watts", "spec_fleet_active_servers",
 		"spec_carbon_intensity_kg_per_kwh", "spec_fleet_carbon_rate_kg_per_hour",
 		"spec_fleet_embodied_carbon_rate_kg_per_hour",
-		"spec_serve_requests", "spec_serve_response_cache_entries",
+		"spec_serve_requests", "spec_serve_request_duration_seconds", "spec_serve_response_cache_entries",
 		"spec_workspace_resident", "spec_serve_reload_generation",
 	} {
 		if metrics.Find(fams, name) == nil {
 			return fmt.Errorf("exposition lacks family %s", name)
 		}
+	}
+	duration := metrics.Find(fams, "spec_serve_request_duration_seconds")
+	if n, ok := duration.Count(metrics.Label{Name: "endpoint", Value: "figures"}); !ok || n < float64(figureRequests) {
+		return fmt.Errorf("latency histogram counts %v figure requests, want at least %d", n, figureRequests)
 	}
 	corpora := map[string]bool{}
 	for _, smp := range metrics.Find(fams, "spec_corpus_servers").Samples {
@@ -422,10 +432,4 @@ func expectBody(client *http.Client, url, want string) error {
 		return fmt.Errorf("status %d body %q, want 200 %q", resp.StatusCode, body, want)
 	}
 	return nil
-}
-
-// load reads a dataset file (CSV, JSON, or EPFB), mirroring the other
-// CLIs through the shared dataset.ReadPath dispatcher.
-func load(path string) (*dataset.Repository, error) {
-	return dataset.ReadPath(path)
 }

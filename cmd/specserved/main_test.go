@@ -7,9 +7,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 // Bad flags are errors naming the flag, returned before the server
@@ -87,5 +92,53 @@ func TestRunServesUntilCancelled(t *testing.T) {
 	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		c.Close()
 		t.Fatalf("%s still accepts connections after shutdown", addr)
+	}
+}
+
+// TestRunSelftest runs the end-to-end API smoke check — byte-identity,
+// revalidation, every figure, a re-verified reload and a linted scrape
+// whose latency histogram counts the figure requests — over a real
+// loopback listener.
+func TestRunSelftest(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-selftest", "-no-sweeps"}, &out, &errBuf); err != nil {
+		t.Fatalf("selftest: %v\nstdout:\n%s\nstderr:\n%s", err, out.String(), errBuf.String())
+	}
+	if !strings.Contains(out.String(), "selftest: ok") {
+		t.Fatalf("selftest output lacks \"selftest: ok\":\n%s", out.String())
+	}
+}
+
+// TestRunVerifyRefusesCorpus serves the seed-1 corpus cut to 200 rows
+// with -verify: too few servers for several paper invariants, so run
+// must refuse to start with an error naming them, before it listens.
+func TestRunVerifyRefusesCorpus(t *testing.T) {
+	rp, err := synth.NewRepository(synth.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(f, rp.All()[:200]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errBuf bytes.Buffer
+	err = run(context.Background(), []string{"-in", path, "-verify", "-addr", "127.0.0.1:0"}, &out, &errBuf)
+	if err == nil {
+		t.Fatalf("a 200-row corpus passed -verify:\n%s", errBuf.String())
+	}
+	failed, names, ok := strings.Cut(err.Error(), " paper invariants: ")
+	if !ok || !strings.HasPrefix(failed, "snapshot failed ") || names == "" {
+		t.Fatalf("error %q does not name the failed invariants", err)
+	}
+	if strings.Contains(errBuf.String(), "listening on") {
+		t.Fatalf("run listened despite the failed invariants:\n%s", errBuf.String())
 	}
 }

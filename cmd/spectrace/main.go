@@ -19,10 +19,8 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/dataset"
 	"repro/internal/fleetsim"
 	"repro/internal/placement"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -56,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *fleetN < 1 {
 		return fmt.Errorf("-fleet %d: need at least one server", *fleetN)
 	}
-	rp, err := load2(*in, *seed)
+	rp, err := cli.LoadCorpus(*in, *seed)
 	if err != nil {
 		return err
 	}
@@ -124,11 +122,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "\nannualized (tariff $%.2f/kWh, %.2f kgCO2/kWh, PUE %.2f):\n%s\n",
 		*price, *carbon, *pue, strings.Join(annualNote, "\n"))
 	return nil
-}
-
-func load2(path string, seed int64) (*dataset.Repository, error) {
-	if path == "" {
-		return synth.NewRepository(synth.Config{Seed: seed})
-	}
-	return dataset.ReadPath(path)
 }

@@ -62,16 +62,6 @@ func parseCategories(s string) ([]verify.Category, error) {
 	return out, nil
 }
 
-// loadCorpus reads a corpus file (CSV, JSON, or EPFB) through the
-// shared dataset.ReadPath dispatcher.
-func loadCorpus(path string) (*dataset.Repository, error) {
-	rp, err := dataset.ReadPath(path)
-	if err != nil {
-		return nil, fmt.Errorf("load %s: %w", path, err)
-	}
-	return rp, nil
-}
-
 // list prints the invariant registry without running anything.
 func list(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -111,9 +101,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var ctx *verify.Context
 	if *in != "" {
-		rp, err := loadCorpus(*in)
+		rp, err := dataset.ReadPath(*in)
 		if err != nil {
-			return err
+			return fmt.Errorf("load %s: %w", *in, err)
 		}
 		ctx = verify.NewContext(rp, *seed, false)
 	} else {

@@ -1,5 +1,6 @@
 // Package cli centralizes the conventions shared by every cmd binary:
-// one usage layout, a uniform -version flag, and exit-0 -h handling.
+// one usage layout, a uniform -version flag, exit-0 -h handling, and
+// the -in/-seed corpus loading of the analysis binaries.
 // Before this helper each binary hand-rolled its flag set and their
 // usage output diverged; now `specX -h` and `specX -version` look and
 // behave the same across the suite.
@@ -11,6 +12,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+
+	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 // Version is the repository-wide version string every binary reports.
@@ -46,4 +50,13 @@ func Parse(fs *flag.FlagSet, args []string, stdout io.Writer) (done bool, err er
 		return true, nil
 	}
 	return false, nil
+}
+
+// LoadCorpus reads the dataset file at path (CSV, JSON or EPFB), or
+// generates the calibrated synthetic corpus at seed when path is empty.
+func LoadCorpus(path string, seed int64) (*dataset.Repository, error) {
+	if path == "" {
+		return synth.NewRepository(synth.Config{Seed: seed})
+	}
+	return dataset.ReadPath(path)
 }

@@ -1,10 +1,10 @@
 // Package metrics is a hand-rolled OpenMetrics text-exposition layer:
-// a writer that renders counter and gauge families in the canonical
-// form Prometheus scrapes (HELP/TYPE/UNIT metadata, escaped label
-// values, `# EOF` terminator) and a minimal validating parser used as
-// a lint in tests and self-checks. It has no client_golang dependency
-// and no registry: callers assemble []Family per scrape from whatever
-// state they want to expose.
+// a writer that renders counter, gauge and histogram families in the
+// canonical form Prometheus scrapes (HELP/TYPE/UNIT metadata, escaped
+// label values, `# EOF` terminator) and a minimal validating parser
+// used as a lint in tests and self-checks. It has no client_golang
+// dependency and no registry: callers assemble []Family per scrape
+// from whatever state they want to expose.
 //
 // The writer is canonical and deterministic: families are emitted in
 // name order, labels within a sample in name order, and samples within
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,10 +28,12 @@ type Type int
 
 // Supported family types. Counters expose one monotonically
 // non-decreasing `_total` sample per label set; gauges expose current
-// values.
+// values; histograms expose, per label set, cumulative `_bucket` counts
+// by ascending `le` bound, then `_count` and `_sum`.
 const (
 	TypeGauge Type = iota
 	TypeCounter
+	TypeHistogram
 )
 
 // String returns the exposition spelling of the type.
@@ -38,9 +41,18 @@ func (t Type) String() string {
 	switch t {
 	case TypeCounter:
 		return "counter"
+	case TypeHistogram:
+		return "histogram"
 	default:
 		return "gauge"
 	}
+}
+
+// sampleSuffixes lists what each type's sample lines add to its name.
+var sampleSuffixes = map[Type][]string{
+	TypeGauge:     {""},
+	TypeCounter:   {"_total"},
+	TypeHistogram: {"_bucket", "_count", "_sum"},
 }
 
 // ContentType is the media type of an OpenMetrics 1.0 text exposition.
@@ -53,9 +65,21 @@ type Label struct {
 
 // Sample is one measured value with its label set. Label order is not
 // significant; the writer sorts by label name.
+//
+// A histogram sample is one series: Buckets holds its cumulative
+// counts by strictly ascending upper bound, the last bound +Inf (whose
+// count is the series' `_count`), and Value holds its `_sum`.
 type Sample struct {
-	Labels []Label
-	Value  float64
+	Labels  []Label
+	Value   float64
+	Buckets []Bucket
+}
+
+// Bucket is one cumulative histogram bucket: Count observations were at
+// most UpperBound.
+type Bucket struct {
+	UpperBound float64
+	Count      float64
 }
 
 // Family is one metric family: metadata plus its samples. For
@@ -72,12 +96,26 @@ type Family struct {
 }
 
 // Value returns the value of the sample whose label set matches the
-// given labels exactly (order-insensitive), and whether one exists.
+// given labels exactly (order-insensitive), and whether one exists. A
+// histogram sample's value is its sum.
 func (f *Family) Value(labels ...Label) (float64, bool) {
 	want := canonicalLabels(labels)
 	for _, s := range f.Samples {
 		if labelsEqual(canonicalLabels(s.Labels), want) {
 			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
+// Count returns the observation count (the +Inf bucket) of the
+// histogram sample whose label set matches the given labels exactly,
+// and whether one exists.
+func (f *Family) Count(labels ...Label) (float64, bool) {
+	want := canonicalLabels(labels)
+	for _, s := range f.Samples {
+		if len(s.Buckets) > 0 && labelsEqual(canonicalLabels(s.Labels), want) {
+			return s.Buckets[len(s.Buckets)-1].Count, true
 		}
 	}
 	return 0, false
@@ -96,8 +134,10 @@ func Find(fams []Family, name string) *Family {
 // Write renders the families as one canonical OpenMetrics text
 // exposition ending in `# EOF`. It validates as it goes: metric and
 // label names must be legal, units must suffix the family name,
-// counter values must be finite and non-negative, and no two samples
-// of a family may share a label set. The input is not mutated.
+// counter values must be finite and non-negative, histogram series
+// must follow writeSeries' rules and carry no `le` label of their own,
+// and no two samples of a family may share a label set. Nothing
+// reaches w unless every family validates. The input is not mutated.
 func Write(w io.Writer, fams []Family) error {
 	ordered := make([]*Family, len(fams))
 	for i := range fams {
@@ -126,13 +166,17 @@ func writeFamily(sb *strings.Builder, f *Family, seen map[string]bool) error {
 		return fmt.Errorf("metrics: duplicate family %q", f.Name)
 	}
 	seen[f.Name] = true
-	if f.Type == TypeCounter {
-		// A counter's samples expose f.Name+"_total"; another family
-		// with that literal name would collide in the exposition.
-		if seen[f.Name+"_total"] {
-			return fmt.Errorf("metrics: counter %q collides with family %q", f.Name, f.Name+"_total")
+	for _, suffix := range sampleSuffixes[f.Type] {
+		// A counter's or histogram's sample names extend f.Name; another
+		// family with one of those literal names would collide in the
+		// exposition.
+		if suffix == "" {
+			continue
 		}
-		seen[f.Name+"_total"] = true
+		if seen[f.Name+suffix] {
+			return fmt.Errorf("metrics: %s %q collides with family %q", f.Type, f.Name, f.Name+suffix)
+		}
+		seen[f.Name+suffix] = true
 	}
 	if f.Unit != "" && !strings.HasSuffix(f.Name, "_"+f.Unit) {
 		return fmt.Errorf("metrics: family %q does not end in unit %q", f.Name, f.Unit)
@@ -180,6 +224,9 @@ func writeFamily(sb *strings.Builder, f *Family, seen map[string]bool) error {
 				if i > 0 && labels[i-1].Name == l.Name {
 					return fmt.Errorf("metrics: family %q sample repeats label %q", f.Name, l.Name)
 				}
+				if f.Type == TypeHistogram && l.Name == "le" {
+					return fmt.Errorf("metrics: histogram %q sample carries the bucket label le", f.Name)
+				}
 				if i > 0 {
 					line.WriteByte(',')
 				}
@@ -195,9 +242,19 @@ func writeFamily(sb *strings.Builder, f *Family, seen map[string]bool) error {
 			return fmt.Errorf("metrics: family %q has duplicate sample %s", f.Name, key)
 		}
 		keys[key] = true
-		line.WriteByte(' ')
-		line.WriteString(formatValue(s.Value))
-		line.WriteByte('\n')
+		if f.Type == TypeHistogram {
+			// A series renders as one block, so the sort below keeps
+			// its lines together and in order.
+			line.Reset()
+			line.Grow((len(s.Buckets) + 2) * (len(key) + 40))
+			if err := writeSeries(&line, f.Name, key[len(f.Name):], s); err != nil {
+				return err
+			}
+		} else {
+			line.WriteByte(' ')
+			writeValue(&line, s.Value)
+			line.WriteByte('\n')
+		}
 		rendered = append(rendered, line.String())
 	}
 	sort.Strings(rendered)
@@ -207,14 +264,57 @@ func writeFamily(sb *strings.Builder, f *Family, seen map[string]bool) error {
 	return nil
 }
 
+// writeSeries renders one histogram series, whose rendered label set
+// is set: its buckets, then _count and _sum. Bucket bounds must
+// strictly ascend to +Inf, the bound rendered as the last label, and
+// counts must be finite and must not decrease.
+func writeSeries(b *strings.Builder, name, set string, s Sample) error {
+	bucket := name + `_bucket{le="`
+	if set != "" {
+		bucket = name + "_bucket" + set[:len(set)-1] + `,le="`
+	}
+	prev := Bucket{UpperBound: math.Inf(-1)}
+	for _, bk := range s.Buckets {
+		if !(bk.UpperBound > prev.UpperBound) || !(bk.Count >= prev.Count) || math.IsInf(bk.Count, 1) {
+			return fmt.Errorf("metrics: histogram %q%s: bucket %v after %v: bounds must ascend, counts must be finite and not decrease",
+				name, set, bk, prev)
+		}
+		b.WriteString(bucket)
+		writeValue(b, bk.UpperBound)
+		b.WriteString(`"} `)
+		writeValue(b, bk.Count)
+		b.WriteByte('\n')
+		prev = bk
+	}
+	if !math.IsInf(prev.UpperBound, 1) {
+		return fmt.Errorf("metrics: histogram %q%s has no +Inf bucket", name, set)
+	}
+	fmt.Fprintf(b, "%s_count%s ", name, set)
+	writeValue(b, prev.Count)
+	fmt.Fprintf(b, "\n%s_sum%s ", name, set)
+	writeValue(b, s.Value)
+	b.WriteByte('\n')
+	return nil
+}
+
+// writeValue renders a float the way the exposition format expects:
+// the shortest decimal that round-trips, with strconv's NaN, +Inf and
+// -Inf being the spec spellings of the non-finite values. Formatting
+// into a stack buffer keeps a scrape from allocating per value.
+func writeValue(b *strings.Builder, v float64) {
+	var buf [32]byte
+	b.Write(strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
+}
+
 // canonicalLabels returns the labels sorted by name, without mutating
-// the input.
+// the input; labels already in order are returned as they are.
 func canonicalLabels(labels []Label) []Label {
-	if len(labels) < 2 {
+	byName := func(a, b Label) int { return strings.Compare(a.Name, b.Name) }
+	if slices.IsSortedFunc(labels, byName) {
 		return labels
 	}
-	out := append([]Label(nil), labels...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := slices.Clone(labels)
+	slices.SortStableFunc(out, byName)
 	return out
 }
 
@@ -228,21 +328,6 @@ func labelsEqual(a, b []Label) bool {
 		}
 	}
 	return true
-}
-
-// formatValue renders a float the way the exposition format expects:
-// shortest round-trippable decimal, with the spec spellings for the
-// non-finite values.
-func formatValue(v float64) string {
-	switch {
-	case math.IsNaN(v):
-		return "NaN"
-	case math.IsInf(v, +1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // validName reports whether s is a legal metric name.

@@ -19,6 +19,7 @@ func writeString(t *testing.T, fams []Family) string {
 
 // TestWriteCanonicalForm pins the exposition shape: HELP/TYPE/UNIT
 // metadata, sorted families, sorted samples, counter _total suffix,
+// histogram series (buckets by ascending le, then _count and _sum),
 // and the EOF terminator.
 func TestWriteCanonicalForm(t *testing.T) {
 	fams := []Family{
@@ -33,6 +34,15 @@ func TestWriteCanonicalForm(t *testing.T) {
 			Name: "spec_serve_requests", Help: "Requests served.", Type: TypeCounter,
 			Samples: []Sample{{Labels: []Label{{"endpoint", "report"}}, Value: 3}},
 		},
+		{
+			Name: "spec_serve_request_duration_seconds", Help: "Latency.", Unit: "seconds", Type: TypeHistogram,
+			Samples: []Sample{
+				{Labels: []Label{{"endpoint", "scrape"}}, Value: 0.5,
+					Buckets: []Bucket{{0.001, 0}, {math.Inf(1), 1}}},
+				{Labels: []Label{{"endpoint", "report"}}, Value: 0.0125,
+					Buckets: []Bucket{{0.001, 1}, {0.01, 2}, {math.Inf(1), 3}}},
+			},
+		},
 	}
 	want := strings.Join([]string{
 		"# HELP spec_fleet_power_watts Fleet power.",
@@ -40,6 +50,18 @@ func TestWriteCanonicalForm(t *testing.T) {
 		"# UNIT spec_fleet_power_watts watts",
 		`spec_fleet_power_watts{corpus="seed=1",policy="pack"} 1000`,
 		`spec_fleet_power_watts{corpus="seed=1",policy="spread"} 1234.5`,
+		"# HELP spec_serve_request_duration_seconds Latency.",
+		"# TYPE spec_serve_request_duration_seconds histogram",
+		"# UNIT spec_serve_request_duration_seconds seconds",
+		`spec_serve_request_duration_seconds_bucket{endpoint="report",le="0.001"} 1`,
+		`spec_serve_request_duration_seconds_bucket{endpoint="report",le="0.01"} 2`,
+		`spec_serve_request_duration_seconds_bucket{endpoint="report",le="+Inf"} 3`,
+		`spec_serve_request_duration_seconds_count{endpoint="report"} 3`,
+		`spec_serve_request_duration_seconds_sum{endpoint="report"} 0.0125`,
+		`spec_serve_request_duration_seconds_bucket{endpoint="scrape",le="0.001"} 0`,
+		`spec_serve_request_duration_seconds_bucket{endpoint="scrape",le="+Inf"} 1`,
+		`spec_serve_request_duration_seconds_count{endpoint="scrape"} 1`,
+		`spec_serve_request_duration_seconds_sum{endpoint="scrape"} 0.5`,
 		"# HELP spec_serve_requests Requests served.",
 		"# TYPE spec_serve_requests counter",
 		`spec_serve_requests_total{endpoint="report"} 3`,
@@ -137,6 +159,22 @@ func TestWriteRejects(t *testing.T) {
 			{Name: "c", Type: TypeCounter, Samples: []Sample{{Value: 1}}},
 			{Name: "c_total", Type: TypeGauge, Samples: []Sample{{Value: 1}}},
 		},
+		"histogram name collision": {
+			{Name: "h", Type: TypeHistogram, Samples: []Sample{{Buckets: []Bucket{{math.Inf(1), 1}}}}},
+			{Name: "h_count", Type: TypeGauge, Samples: []Sample{{Value: 1}}},
+		},
+		"histogram without +Inf bucket": {{Name: "h", Type: TypeHistogram, Samples: []Sample{
+			{Buckets: []Bucket{{1, 1}}},
+		}}},
+		"histogram decreasing counts": {{Name: "h", Type: TypeHistogram, Samples: []Sample{
+			{Buckets: []Bucket{{1, 2}, {math.Inf(1), 1}}},
+		}}},
+		"histogram non-ascending bounds": {{Name: "h", Type: TypeHistogram, Samples: []Sample{
+			{Buckets: []Bucket{{2, 1}, {1, 1}, {math.Inf(1), 1}}},
+		}}},
+		"histogram le label": {{Name: "h", Type: TypeHistogram, Samples: []Sample{
+			{Labels: []Label{{"le", "1"}}, Buckets: []Bucket{{math.Inf(1), 1}}},
+		}}},
 	}
 	for name, fams := range cases {
 		if err := Write(&bytes.Buffer{}, fams); err == nil {
@@ -145,7 +183,8 @@ func TestWriteRejects(t *testing.T) {
 	}
 }
 
-// TestValueLookup covers the Family.Value and Find helpers.
+// TestValueLookup covers the Family.Value, Family.Count and Find
+// helpers.
 func TestValueLookup(t *testing.T) {
 	fams := []Family{{Name: "g", Type: TypeGauge, Samples: []Sample{
 		{Labels: []Label{{"a", "1"}, {"b", "2"}}, Value: 42},
@@ -162,5 +201,17 @@ func TestValueLookup(t *testing.T) {
 	}
 	if Find(fams, "nope") != nil {
 		t.Fatal("Find invented a family")
+	}
+	h := Family{Name: "h", Type: TypeHistogram, Samples: []Sample{
+		{Labels: []Label{{"k", "v"}}, Value: 2.5, Buckets: []Bucket{{1, 2}, {math.Inf(1), 3}}},
+	}}
+	if v, ok := h.Value(Label{"k", "v"}); !ok || v != 2.5 {
+		t.Fatalf("histogram Value (its sum) = %v, %v", v, ok)
+	}
+	if n, ok := h.Count(Label{"k", "v"}); !ok || n != 3 {
+		t.Fatalf("histogram Count = %v, %v", n, ok)
+	}
+	if _, ok := fams[0].Count(Label{"a", "1"}, Label{"b", "2"}); ok {
+		t.Fatal("Count read a gauge sample")
 	}
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -14,8 +15,9 @@ import (
 // escapes must be legal, counter samples must carry the `_total`
 // suffix with finite non-negative values, no sample may repeat a label
 // set, timestamps are rejected, and the exposition must end with
-// `# EOF`. The serving layer's self-test and race tests run every
-// scrape through it.
+// `# EOF`. A histogram family must read exactly as Write renders it,
+// which holds its series to the writer's rules. The serving layer's
+// self-test and race tests run every scrape through it.
 //
 // Write∘Parse is the identity on canonical expositions: parsing the
 // writer's output and re-writing it reproduces the bytes exactly.
@@ -25,23 +27,40 @@ func Parse(data []byte) ([]Family, error) {
 		return nil, fmt.Errorf("metrics: exposition does not end with # EOF")
 	}
 	var (
-		fams    []Family
-		cur     *Family
-		closed  = make(map[string]bool) // family names already finished
-		keys    map[string]bool         // current family's sample label sets
-		typed   bool                    // current family has seen its TYPE line
-		sawEOF  bool
-		lineNum int
+		fams     []Family
+		cur      *Family
+		curStart int                     // offset of cur's first line
+		closed   = make(map[string]bool) // family names already finished
+		keys     map[string]bool         // current family's sample label sets
+		typed    bool                    // current family has seen its TYPE line
+		sawEOF   bool
+		lineNum  int
 	)
-	finish := func() {
-		if cur != nil {
-			closed[cur.Name] = true
-			fams = append(fams, *cur)
-			cur, keys = nil, nil
+	// finish closes cur, whose text ends at offset end.
+	finish := func(end int) error {
+		if cur == nil {
+			return nil
 		}
+		if cur.Type == TypeHistogram {
+			// Re-rendering applies the writer's series rules, and the
+			// bytes must match: each _count is its +Inf count, every
+			// series ends in _sum, and no line is out of place.
+			var sb strings.Builder
+			if err := writeFamily(&sb, cur, make(map[string]bool)); err != nil {
+				return err
+			}
+			if sb.String() != string(data[curStart:end]) {
+				return fmt.Errorf("histogram %q does not read as Write renders it", cur.Name)
+			}
+		}
+		closed[cur.Name] = true
+		fams = append(fams, *cur)
+		cur, keys = nil, nil
+		return nil
 	}
 	for len(text) > 0 {
 		lineNum++
+		start := len(data) - len(text)
 		line := text
 		if i := strings.IndexByte(text, '\n'); i >= 0 {
 			line, text = text[:i], text[i+1:]
@@ -52,6 +71,9 @@ func Parse(data []byte) ([]Family, error) {
 			return nil, fmt.Errorf("metrics: line %d: content after # EOF", lineNum)
 		}
 		if line == "# EOF" {
+			if err := finish(start); err != nil {
+				return nil, fmt.Errorf("metrics: line %d: %w", lineNum, err)
+			}
 			sawEOF = true
 			continue
 		}
@@ -64,14 +86,16 @@ func Parse(data []byte) ([]Family, error) {
 				return nil, fmt.Errorf("metrics: line %d: %w", lineNum, err)
 			}
 			if cur == nil || cur.Name != name {
-				finish()
+				if err := finish(start); err != nil {
+					return nil, fmt.Errorf("metrics: line %d: %w", lineNum, err)
+				}
 				if closed[name] {
 					return nil, fmt.Errorf("metrics: line %d: family %q reopened", lineNum, name)
 				}
 				if !validName(name) {
 					return nil, fmt.Errorf("metrics: line %d: invalid family name %q", lineNum, name)
 				}
-				cur = &Family{Name: name, Type: TypeGauge}
+				cur, curStart = &Family{Name: name, Type: TypeGauge}, start
 				keys = make(map[string]bool)
 				typed = false
 			}
@@ -98,6 +122,8 @@ func Parse(data []byte) ([]Family, error) {
 					cur.Type = TypeGauge
 				case "counter":
 					cur.Type = TypeCounter
+				case "histogram":
+					cur.Type = TypeHistogram
 				default:
 					return nil, fmt.Errorf("metrics: line %d: unsupported type %q", lineNum, rest)
 				}
@@ -117,21 +143,55 @@ func Parse(data []byte) ([]Family, error) {
 		if cur == nil || !typed {
 			return nil, fmt.Errorf("metrics: line %d: sample before its family's TYPE declaration", lineNum)
 		}
-		sample, key, err := parseSample(line, cur)
+		suffix, sample, key, err := parseSample(line, cur)
+		if err == nil && cur.Type == TypeHistogram {
+			err = addHistogramLine(cur, suffix, sample)
+		} else if err == nil && keys[key] {
+			err = fmt.Errorf("duplicate sample %s of family %q", key, cur.Name)
+		} else if err == nil {
+			keys[key] = true
+			cur.Samples = append(cur.Samples, sample)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("metrics: line %d: %w", lineNum, err)
 		}
-		if keys[key] {
-			return nil, fmt.Errorf("metrics: line %d: duplicate sample %s of family %q", lineNum, key, cur.Name)
-		}
-		keys[key] = true
-		cur.Samples = append(cur.Samples, sample)
 	}
 	if !sawEOF {
 		return nil, fmt.Errorf("metrics: missing # EOF")
 	}
-	finish()
 	return fams, nil
+}
+
+// addHistogramLine folds one `_bucket`, `_count` or `_sum` line into
+// fam: a line whose label set, le aside, is not the last sample's
+// starts a new sample, a bucket line appends its bucket, and a _sum
+// line sets the value. Parse checks the assembled family, _count lines
+// included, once it ends.
+func addHistogramLine(fam *Family, suffix string, s Sample) error {
+	if suffix == "_bucket" {
+		i := slices.IndexFunc(s.Labels, func(l Label) bool { return l.Name == "le" })
+		if i < 0 {
+			return fmt.Errorf("histogram %q bucket has no le", fam.Name)
+		}
+		le, err := strconv.ParseFloat(s.Labels[i].Value, 64)
+		if err != nil {
+			return fmt.Errorf("histogram %q bucket has bad le %q", fam.Name, s.Labels[i].Value)
+		}
+		s.Buckets = []Bucket{{UpperBound: le, Count: s.Value}}
+		s.Labels = append(s.Labels[:i:i], s.Labels[i+1:]...)
+	}
+	n := len(fam.Samples)
+	if n == 0 || !labelsEqual(canonicalLabels(fam.Samples[n-1].Labels), canonicalLabels(s.Labels)) {
+		fam.Samples = append(fam.Samples, Sample{Labels: s.Labels})
+	}
+	last := &fam.Samples[len(fam.Samples)-1]
+	switch suffix {
+	case "_bucket":
+		last.Buckets = append(last.Buckets, s.Buckets...)
+	case "_sum":
+		last.Value = s.Value
+	}
+	return nil
 }
 
 // parseMeta splits a `# HELP|TYPE|UNIT name rest` comment line.
@@ -154,38 +214,40 @@ func parseMeta(line string) (kind, name, rest string, err error) {
 	return kind, name, rest, nil
 }
 
-// parseSample parses one `name{labels} value` line belonging to fam,
-// returning the sample and its canonical label-set key.
-func parseSample(line string, fam *Family) (Sample, string, error) {
-	wantName := fam.Name
-	if fam.Type == TypeCounter {
-		wantName += "_total"
+// parseSample parses one `name{labels} value` line of fam, returning
+// the suffix its name adds to the family name, the sample and its
+// canonical label-set key.
+func parseSample(line string, fam *Family) (string, Sample, string, error) {
+	end := strings.IndexAny(line, "{ ")
+	if end < 0 {
+		end = len(line)
 	}
-	rest, ok := strings.CutPrefix(line, wantName)
-	if !ok {
-		return Sample{}, "", fmt.Errorf("sample %q does not belong to family %q (want name %q)", line, fam.Name, wantName)
+	suffix, ok := strings.CutPrefix(line[:end], fam.Name)
+	if !ok || !slices.Contains(sampleSuffixes[fam.Type], suffix) {
+		return "", Sample{}, "", fmt.Errorf("sample %q does not belong to %s family %q", line, fam.Type, fam.Name)
 	}
+	rest := line[end:]
 	var s Sample
 	if strings.HasPrefix(rest, "{") {
 		var err error
 		rest, err = parseLabels(rest[1:], &s)
 		if err != nil {
-			return Sample{}, "", err
+			return "", Sample{}, "", err
 		}
 	}
 	rest, ok = strings.CutPrefix(rest, " ")
 	if !ok || rest == "" {
-		return Sample{}, "", fmt.Errorf("sample %q has no value", line)
+		return "", Sample{}, "", fmt.Errorf("sample %q has no value", line)
 	}
 	if strings.ContainsAny(rest, " ") {
-		return Sample{}, "", fmt.Errorf("sample %q carries a timestamp or trailing garbage", line)
+		return "", Sample{}, "", fmt.Errorf("sample %q carries a timestamp or trailing garbage", line)
 	}
 	v, err := strconv.ParseFloat(rest, 64)
 	if err != nil {
-		return Sample{}, "", fmt.Errorf("sample %q has bad value: %v", line, err)
+		return "", Sample{}, "", fmt.Errorf("sample %q has bad value: %v", line, err)
 	}
 	if fam.Type == TypeCounter && (v < 0 || math.IsNaN(v) || math.IsInf(v, 0)) {
-		return Sample{}, "", fmt.Errorf("counter sample %q has value %v", line, v)
+		return "", Sample{}, "", fmt.Errorf("counter sample %q has value %v", line, v)
 	}
 	s.Value = v
 
@@ -193,12 +255,12 @@ func parseSample(line string, fam *Family) (Sample, string, error) {
 	seen := make(map[string]bool, len(s.Labels))
 	for _, l := range canonicalLabels(s.Labels) {
 		if seen[l.Name] {
-			return Sample{}, "", fmt.Errorf("sample %q repeats label %q", line, l.Name)
+			return "", Sample{}, "", fmt.Errorf("sample %q repeats label %q", line, l.Name)
 		}
 		seen[l.Name] = true
 		key += l.Name + "=" + strconv.Quote(l.Value) + ","
 	}
-	return s, key, nil
+	return suffix, s, key, nil
 }
 
 // parseLabels consumes `name="value",...}` and returns what follows

@@ -122,6 +122,30 @@ func BenchmarkMetricsScrapeWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkMetricsScrapeAfterTraffic measures a warm /metrics scrape
+// once each cheap endpoint class has served 4,096 requests: a scrape
+// reads every class's live request accounting, so its cost must not
+// grow with the traffic served. Reloads and scrapes are left out of
+// the traffic because each one costs a snapshot rebuild or a scrape.
+func BenchmarkMetricsScrapeAfterTraffic(b *testing.B) {
+	s, err := New(Config{Seed: testSeed, Repo: corpus(b)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, target := range []string{"/healthz", "/api/v1/report", "/api/v1/figures/3",
+		"/api/v1/metrics/ep", "/api/v1/servers?year=2016", "/api/v1/summary"} {
+		for i := 0; i < 4096; i++ {
+			benchRequest(b, s, target, nil)
+		}
+	}
+	benchRequest(b, s, "/metrics", nil) // build the memoized gauges
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRequest(b, s, "/metrics", nil)
+	}
+}
+
 // BenchmarkMetricsScrapeMultiCorpus measures a warm scrape over a
 // populated workspace: the default corpus plus three keyed fleet
 // scenarios, every family carrying four corpus label values.

@@ -4,7 +4,8 @@
 // bytes (identity + gzip variants with strong ETags), and served from
 // cache thereafter. Concurrent identical misses are coalesced through
 // internal/par's singleflight, snapshot reloads swap atomically under
-// readers, and internal/trace latency recorders feed /debug/stats.
+// readers, and /metrics exports per-endpoint request counters and
+// latency histograms beside the corpus gauges.
 package serve
 
 import (

@@ -1,9 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"net/http"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -36,6 +38,43 @@ var demandFractions = []struct {
 	{0.50, "0.50"},
 	{0.75, "0.75"},
 	{1.00, "1.00"},
+}
+
+// latencyBounds are the upper bounds, in seconds, of the request
+// duration histogram's buckets: from a warm cache hit, well under a
+// millisecond, to a cold report render with full-length sweeps; the
+// +Inf bucket takes the rest.
+var latencyBounds = [...]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, math.Inf(1)}
+
+// endpointStats accounts one endpoint class's requests. buckets counts
+// requests per latencyBounds bucket (not cumulatively), so their total
+// is the class's request count. mu guards every field, so a scrape
+// reads a class's request counters and latency histogram as of the
+// same request.
+type endpointStats struct {
+	mu           sync.Mutex
+	hits, errors uint64
+	seconds      float64
+	buckets      [len(latencyBounds)]uint64
+}
+
+// observe records one request: its latency, whether it was served from
+// an already rendered payload (hit), and whether it failed. A failed
+// request's latency counts too — a slow failure is still a slow
+// response.
+func (e *endpointStats) observe(d time.Duration, hit, failed bool) {
+	secs := d.Seconds()
+	i := sort.SearchFloat64s(latencyBounds[:], secs)
+	e.mu.Lock()
+	e.buckets[i]++
+	e.seconds += secs
+	if hit {
+		e.hits++
+	}
+	if failed {
+		e.errors++
+	}
+	e.mu.Unlock()
 }
 
 // Reference grid pricing for the carbon gauges: the same defaults the
@@ -287,8 +326,8 @@ func (s *Server) scrapeFamilies() (fams []metrics.Family, warm bool, err error) 
 }
 
 // serveFamilies snapshots the server's live counters: per-endpoint
-// request accounting, per-corpus byte-cache occupancy, workspace LRU
-// accounting and the reload generation.
+// request accounting and latency, per-corpus byte-cache occupancy,
+// workspace LRU accounting and the reload generation.
 func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 	requests := metrics.Family{Name: "spec_serve_requests",
 		Help: "Requests handled, by endpoint class.", Type: metrics.TypeCounter}
@@ -298,13 +337,25 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 		Help: "Requests served from an already rendered payload, by endpoint class.", Type: metrics.TypeCounter}
 	misses := metrics.Family{Name: "spec_serve_cache_misses",
 		Help: "Requests that had to render (or join a render), by endpoint class.", Type: metrics.TypeCounter}
+	duration := metrics.Family{Name: "spec_serve_request_duration_seconds",
+		Help: "Request latency, by endpoint class.", Type: metrics.TypeHistogram, Unit: "seconds"}
 	for _, class := range endpointClasses {
-		st := s.recorders[class].Snapshot()
+		e := s.endpoints[class]
+		hist := make([]metrics.Bucket, len(latencyBounds))
+		var n uint64
+		e.mu.Lock()
+		for i, c := range e.buckets {
+			n += c
+			hist[i] = metrics.Bucket{UpperBound: latencyBounds[i], Count: float64(n)}
+		}
+		hitCount, errCount, seconds := e.hits, e.errors, e.seconds
+		e.mu.Unlock()
 		endpoint := []metrics.Label{{Name: "endpoint", Value: class}}
-		requests.Samples = append(requests.Samples, metrics.Sample{Labels: endpoint, Value: float64(st.Requests)})
-		reqErrors.Samples = append(reqErrors.Samples, metrics.Sample{Labels: endpoint, Value: float64(st.Errors)})
-		hits.Samples = append(hits.Samples, metrics.Sample{Labels: endpoint, Value: float64(st.Hits)})
-		misses.Samples = append(misses.Samples, metrics.Sample{Labels: endpoint, Value: float64(st.Misses)})
+		requests.Samples = append(requests.Samples, metrics.Sample{Labels: endpoint, Value: float64(n)})
+		reqErrors.Samples = append(reqErrors.Samples, metrics.Sample{Labels: endpoint, Value: float64(errCount)})
+		hits.Samples = append(hits.Samples, metrics.Sample{Labels: endpoint, Value: float64(hitCount)})
+		misses.Samples = append(misses.Samples, metrics.Sample{Labels: endpoint, Value: float64(n - hitCount)})
+		duration.Samples = append(duration.Samples, metrics.Sample{Labels: endpoint, Value: seconds, Buckets: hist})
 	}
 
 	entries := metrics.Family{Name: "spec_serve_response_cache_entries",
@@ -349,7 +400,7 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 			Samples: []metrics.Sample{{Value: v}}}
 	}
 	return []metrics.Family{
-		requests, reqErrors, hits, misses,
+		requests, reqErrors, hits, misses, duration,
 		entries, cacheBytes, cacheHits, cacheMisses, coalesced, intensity,
 		workspace("spec_workspace_resident", "Keyed corpus scenarios resident in the workspace.",
 			metrics.TypeGauge, float64(ws.Resident)),
@@ -377,18 +428,14 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 func (s *Server) handleScrape(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	fams, warm, err := s.scrapeFamilies()
+	if err == nil {
+		// Write validates every family before it writes a byte, so a
+		// failure here can still answer 500.
+		w.Header().Set("Content-Type", metrics.ContentType)
+		err = metrics.Write(w, fams)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		s.recorders["scrape"].Observe(time.Since(start), false, true)
-		return
 	}
-	var buf bytes.Buffer
-	if err := metrics.Write(&buf, fams); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		s.recorders["scrape"].Observe(time.Since(start), false, true)
-		return
-	}
-	w.Header().Set("Content-Type", metrics.ContentType)
-	w.Write(buf.Bytes())
-	s.recorders["scrape"].Observe(time.Since(start), warm, false)
+	s.endpoints["scrape"].observe(time.Since(start), warm && err == nil, err != nil)
 }

@@ -63,9 +63,22 @@ func corpusLabels(f *metrics.Family) map[string]bool {
 // checkExposition asserts the internal consistency every scrape must
 // hold, torn or not: each corpus's family values come from one
 // immutable snapshot, so subset counts nest and distribution stats are
-// ordered.
+// ordered; and each endpoint class's counters and latency histogram
+// are read together, so its histogram counts exactly its requests.
 func checkExposition(t testing.TB, fams []metrics.Family) {
 	t.Helper()
+	requests := metrics.Find(fams, "spec_serve_requests")
+	duration := metrics.Find(fams, "spec_serve_request_duration_seconds")
+	if requests == nil || duration == nil || len(duration.Samples) != len(requests.Samples) {
+		t.Error("exposition lacks a request counter or latency histogram per endpoint class")
+		return
+	}
+	for _, smp := range duration.Samples {
+		n, _ := requests.Value(smp.Labels...)
+		if c, _ := duration.Count(smp.Labels...); c != n {
+			t.Errorf("%v: latency histogram counts %v requests, the request counter %v", smp.Labels, c, n)
+		}
+	}
 	servers := metrics.Find(fams, "spec_corpus_servers")
 	if servers == nil {
 		t.Fatal("exposition lacks spec_corpus_servers")
@@ -169,7 +182,7 @@ func TestScrapeExposition(t *testing.T) {
 		"spec_corpus_year_ep", "spec_corpus_year_overall_ee", "spec_corpus_year_servers",
 		"spec_fleet_capacity_ops", "spec_fleet_ep", "spec_fleet_idle_fraction", "spec_fleet_active_servers",
 		"spec_serve_requests", "spec_serve_request_errors",
-		"spec_serve_cache_hits", "spec_serve_cache_misses",
+		"spec_serve_cache_hits", "spec_serve_cache_misses", "spec_serve_request_duration_seconds",
 		"spec_serve_response_cache_entries", "spec_serve_response_cache_bytes",
 		"spec_serve_response_cache_hits", "spec_serve_response_cache_misses",
 		"spec_serve_coalesced_renders", "spec_serve_reload_generation",
@@ -196,7 +209,9 @@ func TestScrapeExposition(t *testing.T) {
 // TestScrapeGolden pins the sha256 of the first scrape of a fresh
 // seed-1 server. The exposition is canonically ordered and every
 // contributing computation is deterministic at any worker count, so
-// the digest is byte-stable at workers 1, 2 and 8.
+// the digest is byte-stable at workers 1, 2 and 8. The request
+// duration histogram measures wall time, so its lines are cut before
+// hashing; a first scrape has seen no request, so they must all read 0.
 func TestScrapeGolden(t *testing.T) {
 	const want = "c5035d6237d84fc818253ec7fbe36a446a7f729e8eababbc92a7245b95eb7cc2"
 	defer par.SetMaxWorkers(0)
@@ -207,7 +222,22 @@ func TestScrapeGolden(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("workers=%d: status %d", workers, w.Code)
 		}
-		sum := sha256.Sum256(w.Body.Bytes())
+		var kept strings.Builder
+		cut := 0
+		for _, line := range strings.SplitAfter(w.Body.String(), "\n") {
+			if !strings.Contains(line, "spec_serve_request_duration_seconds") {
+				kept.WriteString(line)
+				continue
+			}
+			cut++
+			if !strings.HasPrefix(line, "#") && !strings.HasSuffix(line, " 0\n") {
+				t.Errorf("workers=%d: first scrape has a nonzero latency line %q", workers, line)
+			}
+		}
+		if want := 3 + len(endpointClasses)*(len(latencyBounds)+2); cut != want {
+			t.Errorf("workers=%d: cut %d request duration lines, want %d", workers, cut, want)
+		}
+		sum := sha256.Sum256([]byte(kept.String()))
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("workers=%d: scrape digest %s, want %s", workers, got, want)
 		}

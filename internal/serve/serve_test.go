@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/synth"
 )
@@ -427,36 +429,56 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	}
 }
 
-// TestDebugStats: the stats endpoint reports the traffic it observed.
-func TestDebugStats(t *testing.T) {
+// TestEndpointRequestMetrics: /metrics reports the traffic each
+// endpoint class observed — its request counters and its latency
+// histogram.
+func TestEndpointRequestMetrics(t *testing.T) {
 	s := newTestServer(t)
 	get(t, s, "/api/v1/figures/3", nil) // miss
 	get(t, s, "/api/v1/figures/3", nil) // hit
-	var out struct {
-		Endpoints map[string]struct {
-			Requests int64   `json:"requests"`
-			Hits     int64   `json:"hits"`
-			Misses   int64   `json:"misses"`
-			HitRate  float64 `json:"hit_rate"`
-		} `json:"endpoints"`
-		Cache struct {
-			Entries int64 `json:"entries"`
-		} `json:"cache"`
-		Snapshot struct {
-			Seed  int64 `json:"seed"`
-			Valid int   `json:"valid"`
-		} `json:"snapshot"`
+	fams := scrape(t, s)
+	figures := metrics.Label{Name: "endpoint", Value: "figures"}
+	for name, want := range map[string]float64{
+		"spec_serve_requests":       2,
+		"spec_serve_cache_hits":     1,
+		"spec_serve_cache_misses":   1,
+		"spec_serve_request_errors": 0,
+	} {
+		if v, ok := metrics.Find(fams, name).Value(figures); !ok || v != want {
+			t.Errorf("%s{figures} = %v/%v, want %v", name, v, ok, want)
+		}
 	}
-	w := get(t, s, "/debug/stats", nil)
-	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
-		t.Fatalf("stats: %v", err)
+	duration := metrics.Find(fams, "spec_serve_request_duration_seconds")
+	if n, ok := duration.Count(figures); !ok || n != 2 {
+		t.Errorf("request duration count{figures} = %v/%v, want 2", n, ok)
 	}
-	fig := out.Endpoints["figures"]
-	if fig.Requests != 2 || fig.Hits != 1 || fig.Misses != 1 || fig.HitRate != 0.5 {
-		t.Fatalf("figures stats = %+v, want 2 requests, 1 hit, 1 miss", fig)
+	if sum, _ := duration.Value(figures); !(sum > 0) {
+		t.Errorf("request duration sum{figures} = %v, want positive", sum)
 	}
-	if out.Cache.Entries != 1 || out.Snapshot.Seed != testSeed || out.Snapshot.Valid == 0 {
-		t.Fatalf("stats payload %+v implausible", out)
+	entries := metrics.Find(fams, "spec_serve_response_cache_entries")
+	if v, ok := entries.Value(metrics.Label{Name: "corpus", Value: "seed=1"}); !ok || v != 1 {
+		t.Errorf("cache entries = %v/%v, want 1", v, ok)
+	}
+}
+
+// TestEndpointStatsBuckets: a request lands in the first bucket whose
+// upper bound is at least its latency, the +Inf bucket takes what no
+// finite bound covers, and recording a request does not allocate.
+func TestEndpointStatsBuckets(t *testing.T) {
+	var e endpointStats
+	for _, d := range []time.Duration{
+		0, 400 * time.Microsecond, time.Millisecond, 1001 * time.Microsecond, 10 * time.Second, time.Minute,
+	} {
+		e.observe(d, false, false)
+	}
+	want := map[float64]uint64{0.0005: 2, 0.001: 1, 0.0025: 1, 10: 1, math.Inf(1): 1}
+	for i, bound := range latencyBounds {
+		if e.buckets[i] != want[bound] {
+			t.Errorf("bucket le=%v holds %d, want %d", bound, e.buckets[i], want[bound])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { e.observe(time.Millisecond, true, false) }); n != 0 {
+		t.Errorf("observe allocates %v objects per request", n)
 	}
 }
 

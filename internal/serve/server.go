@@ -16,7 +16,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
 // Config parameterizes a Server.
@@ -46,16 +45,16 @@ type Config struct {
 // per-request work and resident memory.
 const DefaultMaxFleetServers = 100_000
 
-// endpointClasses are the per-endpoint recorder keys of /debug/stats.
+// endpointClasses label the per-endpoint request families of /metrics.
 var endpointClasses = []string{"report", "figures", "metrics", "servers", "summary", "healthz", "reload", "scrape"}
 
 // Server is the snapshot-cached HTTP API over the corpus. All request
 // handling goes through a *Snapshot — the default generation on a
 // lock-free atomic pointer (swappable via Reload), keyed
 // ?seed=/?servers= scenarios through the LRU-bounded Workspace — and
-// its per-snapshot byte cache; per-endpoint latency and hit-rate
-// recorders feed /debug/stats, and /metrics exposes everything as
-// OpenMetrics.
+// its per-snapshot byte cache; /metrics exposes everything as
+// OpenMetrics, per-endpoint request counts and latency histograms
+// included.
 type Server struct {
 	mux  *http.ServeMux
 	snap atomic.Pointer[Snapshot]
@@ -76,7 +75,7 @@ type Server struct {
 	// spec_serve_reload_generation.
 	gen atomic.Int64
 
-	recorders map[string]*trace.LatencyRecorder
+	endpoints map[string]*endpointStats
 }
 
 // New builds the server and renders nothing: every payload is rendered
@@ -87,11 +86,11 @@ func New(cfg Config) (*Server, error) {
 		opts:       opts,
 		synthetic:  cfg.Repo == nil,
 		corpusName: cfg.CorpusName,
-		recorders:  make(map[string]*trace.LatencyRecorder, len(endpointClasses)),
+		endpoints:  make(map[string]*endpointStats, len(endpointClasses)),
 	}
 	s.workspace = NewWorkspace(cfg.WorkspaceCap, s.loadScenario)
 	for _, class := range endpointClasses {
-		s.recorders[class] = trace.NewLatencyRecorder()
+		s.endpoints[class] = &endpointStats{}
 	}
 
 	if cfg.Repo != nil {
@@ -114,7 +113,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /api/v1/summary", s.handleSummary)
 	mux.HandleFunc("POST /api/v1/reload", s.handleReload)
 	mux.HandleFunc("GET /metrics", s.handleScrape)
-	mux.HandleFunc("GET /debug/stats", s.handleStats)
 	s.mux = mux
 	return s, nil
 }
@@ -228,7 +226,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, class, key strin
 	snap, err := s.snapshotFor(r)
 	if err != nil {
 		http.Error(w, err.Error(), errStatus(err))
-		s.recorders[class].Observe(time.Since(start), false, true)
+		s.endpoints[class].observe(time.Since(start), false, true)
 		return
 	}
 	ent, hit, err := snap.cache.Get(key, func() ([]byte, string, error) { return render(snap) })
@@ -237,7 +235,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, class, key strin
 	} else {
 		writeEntry(w, r, ent)
 	}
-	s.recorders[class].Observe(time.Since(start), hit, err != nil)
+	s.endpoints[class].observe(time.Since(start), hit, err != nil)
 }
 
 // errNotFound classifies render errors that should map to 404;
@@ -322,7 +320,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte("ok\n"))
-	s.recorders["healthz"].Observe(time.Since(start), true, false)
+	s.endpoints["healthz"].observe(time.Since(start), true, false)
 }
 
 // handleReport serves the full evaluation report, byte-identical to
@@ -543,7 +541,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		v, err := strconv.ParseInt(q, 10, 64)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad seed %q", q), http.StatusBadRequest)
-			s.recorders["reload"].Observe(time.Since(start), false, true)
+			s.endpoints["reload"].observe(time.Since(start), false, true)
 			return
 		}
 		seed = v
@@ -551,56 +549,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.Reload(seed)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		s.recorders["reload"].Observe(time.Since(start), false, true)
+		s.endpoints["reload"].observe(time.Since(start), false, true)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"seed\": %d, \"corpus\": %d, \"valid\": %d}\n", snap.Seed, snap.Repo.Len(), snap.Valid.Len())
-	s.recorders["reload"].Observe(time.Since(start), false, false)
-}
-
-// statsPayload is the /debug/stats document.
-type statsPayload struct {
-	Endpoints map[string]trace.LatencyStats `json:"endpoints"`
-	Cache     CacheStats                    `json:"cache"`
-	Workspace WorkspaceStats                `json:"workspace"`
-	Snapshot  struct {
-		Seed       int64  `json:"seed"`
-		Corpus     string `json:"corpus"`
-		Servers    int    `json:"servers"`
-		Valid      int    `json:"valid"`
-		Sweeps     bool   `json:"sweeps"`
-		Generation int64  `json:"generation"`
-	} `json:"snapshot"`
-}
-
-// handleStats reports per-endpoint latency/hit-rate counters, cache
-// occupancy and workspace accounting. Never cached: it is the
-// observability endpoint.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
-	out := statsPayload{
-		Endpoints: make(map[string]trace.LatencyStats, len(s.recorders)),
-		Cache:     snap.cache.Stats(),
-		Workspace: s.workspace.Stats(),
-	}
-	for class, rec := range s.recorders {
-		out.Endpoints[class] = rec.Snapshot()
-	}
-	out.Snapshot.Seed = snap.Seed
-	out.Snapshot.Corpus = snap.Corpus
-	out.Snapshot.Servers = snap.Repo.Len()
-	out.Snapshot.Valid = snap.Valid.Len()
-	out.Snapshot.Sweeps = snap.Opts.Sweeps
-	out.Snapshot.Generation = s.gen.Load()
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-	w.Write([]byte("\n"))
+	s.endpoints["reload"].observe(time.Since(start), false, false)
 }
 
 // marshalJSON renders a cacheable JSON payload.

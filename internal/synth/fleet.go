@@ -134,10 +134,9 @@ func generateShard(cfg FleetConfig, s int) (*dataset.ColumnStore, error) {
 }
 
 // fleetResult samples one server into r, with ID id: blueprint from the
-// plan tables, then the standard draw/materialize pipeline. The curve
-// solver can reject an (EP target, peak spot) pair as non-monotone;
-// fleets resample the pair rather than fail, since no census depends
-// on the first draw.
+// plan tables, then the standard draw/materialize pipeline. It draws
+// once: for sampleEP's targets in [0.19, 0.99] solveCurve returns only
+// monotone curves, as TestSolveCurveMatchesReference checks.
 func (g *generator) fleetResult(r *dataset.Result, id string) error {
 	bp := &blueprint{}
 	bp.year = g.sampleFleetYear()
@@ -145,24 +144,19 @@ func (g *generator) fleetResult(r *dataset.Result, id string) error {
 	bp.mpc = g.sampleFleetMPC()
 	bp.code = g.sampleCodename(bp.year)
 	bp.coresPerChip = g.sampleCores(bp.code)
-	const attempts = 32
-	for try := 0; ; try++ {
-		bp.epTarget = g.sampleEP(epYearStats[bp.year], bp)
-		bp.spot = g.sampleFleetSpot(bp.year)
-		d, err := g.drawResult(bp)
-		if err == nil {
-			materializeResult(bp, d, id, r)
-			if r.HWAvailYear < 2007 {
-				// The benchmark launched in 2007; older hardware is
-				// necessarily published later.
-				r.PublishedYear = 2007 + g.rng.Intn(5)
-			}
-			return nil
-		}
-		if try == attempts-1 {
-			return fmt.Errorf("synth: fleet curve failed after %d attempts: %w", attempts, err)
-		}
+	bp.epTarget = g.sampleEP(epYearStats[bp.year], bp)
+	bp.spot = g.sampleFleetSpot(bp.year)
+	d, err := g.drawResult(bp)
+	if err != nil {
+		return err
 	}
+	materializeResult(bp, d, id, r)
+	if r.HWAvailYear < 2007 {
+		// The benchmark launched in 2007; older hardware is
+		// necessarily published later.
+		r.PublishedYear = 2007 + g.rng.Intn(5)
+	}
+	return nil
 }
 
 func (g *generator) sampleFleetYear() int {

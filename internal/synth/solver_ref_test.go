@@ -278,6 +278,9 @@ var solverSpots = append(append([]float64(nil), levelGrid...), 0.65, 1.2)
 // compareSolver runs the production solver and the reference from the
 // same seed. It reports the reference's exit and fails t unless both
 // curves are bit-identical and both streams stand at the same position.
+// It also fails t on a curve that is not monotone for an EP target in
+// sampleEP's range [0.19, 0.99]: fleet generation draws each server
+// once and relies on that.
 func compareSolver(t *testing.T, seed int64, ep, spot float64) refExit {
 	t.Helper()
 	gotRng := rand.New(rand.NewSource(seed))
@@ -287,6 +290,9 @@ func compareSolver(t *testing.T, seed int64, ep, spot float64) refExit {
 	if !sameCurveBits(got, want) {
 		t.Fatalf("seed %d ep %v spot %v (%s): curve\n  got  %+v\n  want %+v",
 			seed, ep, spot, refExitNames[exit], got, want)
+	}
+	if ep >= 0.19 && ep <= 0.99 && !got.monotone() {
+		t.Fatalf("seed %d ep %v spot %v (%s): curve %+v is not monotone", seed, ep, spot, refExitNames[exit], got)
 	}
 	if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
 		t.Fatalf("seed %d ep %v spot %v (%s): streams end at different positions (next draw %d, want %d)",
