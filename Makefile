@@ -53,16 +53,20 @@ simbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSim' -benchtime 1x ./internal/fleetsim
 
 # Composition-optimizer smoke: one iteration of the grouped/pruned/
-# naive benchmarks (BenchmarkOptimizeGrouped scores all 16,806
-# candidates of a 5-model space against a 1-minute week and must stay
-# <= 1 s single-threaded; see BENCH_optimize.json for the recorded
-# before/after matrix).
+# naive benchmarks and of fleet-batch's three searches
+# (BenchmarkOptimizeAllPolicies: all four policies, pruning on, static
+# energy, diurnal carbon and two-region carbon with embodied carbon).
+# Targets, single-threaded: BenchmarkOptimizeGrouped scores all 16,806
+# candidates of a 5-model space against a 1-minute week in under
+# 42 ms, and scanning a candidate that is infeasible, pruned, or scored
+# but not kept allocates nothing (TestScanAllocs); see
+# BENCH_optimize.json for the recorded parent/change matrix.
 optbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimize' -benchtime 1x ./internal/optimize
 
 # Carbon-aware-optimizer smoke: one iteration each of the static-rate
 # baseline, the 2-D demand×intensity fold (all 16,806 candidates under
-# a diurnal grid profile; must stay ≤ 2× the static time), and the
+# a diurnal grid profile; target ≤ 1.5× the static time), and the
 # per-candidate exact-replay reference (see BENCH_carbon.json).
 carbonbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCarbon' -benchtime 1x ./internal/optimize
@@ -91,8 +95,9 @@ verify:
 # pre-rewrite reference copy, the EPFB v2 codec (each
 # decoded row's metric columns checked against core.Curve), the CSV and
 # JSON corpus codecs, the CPU model parser, the OpenMetrics parser, the
-# intensity and demand-trace CSV parsers, the Theil-Sen slope median and
-# the HTTP request surface (raise FUZZTIME locally for a longer run).
+# intensity and demand-trace CSV parsers, the Theil-Sen slope median,
+# the HTTP request surface and the cluster evaluator's batched power
+# against its one-demand form (raise FUZZTIME locally for a longer run).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCurveEP -fuzztime $(FUZZTIME) ./internal/synth
@@ -107,6 +112,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzTheilSen -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzPowerAtEach -fuzztime $(FUZZTIME) ./internal/cluster
 
 # Serve the report/figures/metrics over HTTP from the snapshot cache.
 serve:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -448,6 +449,49 @@ func TestAsynchronization(t *testing.T) {
 	// Degenerate repository.
 	if small := Asynchronization(dataset.NewRepository(nil)); small.TopN != 0 {
 		t.Errorf("empty repo TopN = %d", small.TopN)
+	}
+}
+
+// TestTopRowsMatchesArgsort pins the decile selection to the stable
+// argsort it replaces: the same set of rows as ArgsortStable's last
+// topN, on keys with heavy ties, signed zeros and infinities, and on
+// keys with a NaN, which keep the argsort.
+func TestTopRowsMatchesArgsort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, -3, math.Inf(1), math.Inf(-1), 0.1}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		keys := make([]float64, n)
+		for i := range keys {
+			if rng.Intn(3) == 0 {
+				keys[i] = rng.NormFloat64()
+			} else {
+				keys[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		if trial%5 == 0 {
+			keys[rng.Intn(n)] = math.NaN()
+		}
+		topN := 1 + rng.Intn(n)
+		want := dataset.ArgsortStable(keys)[n-topN:]
+		got := topRows(keys, topN)
+		if len(got) != topN {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), topN)
+		}
+		in := make(map[int32]bool, topN)
+		for _, r := range want {
+			in[r] = true
+		}
+		for _, r := range got {
+			if !in[r] {
+				t.Fatalf("trial %d (n %d, top %d): row %d (key %v) is not in the argsort's top",
+					trial, n, topN, r, keys[r])
+			}
+			delete(in, r)
+		}
+		if len(in) != 0 {
+			t.Fatalf("trial %d: %d rows repeated or missing", trial, len(in))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -149,9 +150,9 @@ type AsyncStats struct {
 }
 
 // Asynchronization computes the §IV.B top-decile statistics. The
-// deciles come from stable argsorts over the metric columns — the same
-// permutation the materializing sorts produced — so no result views are
-// built.
+// deciles are the rows a stable ascending argsort of each metric
+// column ends with, found by selection rather than a full sort, so no
+// result views are built.
 func Asynchronization(rp *dataset.Repository) AsyncStats {
 	cs := rp.Columns()
 	n := cs.Len()
@@ -173,10 +174,9 @@ func Asynchronization(rp *dataset.Repository) AsyncStats {
 	out.Share2012 = float64(in2012) / float64(n)
 
 	ids := cs.IDCol()
-	byEP := dataset.ArgsortStable(cs.EPCol())
 	topEPSet := make(map[string]bool, topN)
 	ep2012 := 0
-	for _, r := range byEP[n-topN:] {
+	for _, r := range topRows(cs.EPCol(), topN) {
 		topEPSet[ids[r]] = true
 		if hwYears[r] == 2012 {
 			ep2012++
@@ -184,9 +184,8 @@ func Asynchronization(rp *dataset.Repository) AsyncStats {
 	}
 	out.TopEPFrom2012 = float64(ep2012) / float64(topN)
 
-	byEE := dataset.ArgsortStable(cs.OverallEECol())
 	ee2012, late, overlap := 0, 0, 0
-	for _, r := range byEE[n-topN:] {
+	for _, r := range topRows(cs.OverallEECol(), topN) {
 		if hwYears[r] == 2012 {
 			ee2012++
 		}
@@ -201,6 +200,39 @@ func Asynchronization(rp *dataset.Repository) AsyncStats {
 	out.Servers20152016InTopEE = late
 	out.Servers20152016 = late2015
 	out.Overlap = float64(overlap) / float64(topN)
+	return out
+}
+
+// topRows returns the rows of the topN largest keys, 0 < topN ≤
+// len(keys): the set dataset.ArgsortStable(keys) ends with, in no
+// particular order. Ties at the threshold go to the higher rows, as the
+// stable sort leaves them last. Keys with a NaN, which the sort orders
+// by its comparator's quirks, take the sort.
+func topRows(keys []float64, topN int) []int32 {
+	n := len(keys)
+	for _, k := range keys {
+		if k != k {
+			return dataset.ArgsortStable(keys)[n-topN:]
+		}
+	}
+	sel := slices.Clone(keys)
+	stats.SelectNth(sel, n-topN)
+	t := sel[n-topN]
+	ties := topN
+	for _, k := range keys {
+		if k > t {
+			ties--
+		}
+	}
+	out := make([]int32, 0, topN)
+	for i := n - 1; i >= 0; i-- {
+		if k := keys[i]; k > t || k == t && ties > 0 {
+			if k == t {
+				ties--
+			}
+			out = append(out, int32(i))
+		}
+	}
 	return out
 }
 

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -171,11 +170,11 @@ func Compose(members []*placement.Profile, policy Policy) (Aggregate, error) {
 //     run, then sums count × interpolated power over two contiguous
 //     rows.
 //   - OptimalRegion: groups are sorted into engage order once, with
-//     each group's count × power at idle, at its engage target and at
-//     its top-up level precomputed; a demand point runs
-//     placement.FillGroups to find the marginal group, adds the
-//     precomputed terms around it, and evaluates only the marginal
-//     group live.
+//     each group's fill constants (placement.FillRun) and its count ×
+//     power at idle, at its engage target and at its top-up level
+//     precomputed; a demand point runs placement.FillGroups to find
+//     the marginal group, adds the precomputed terms around it, and
+//     evaluates only the marginal group live.
 //
 // Every sum runs in member order for spread and in engage order for
 // optimal-region, each term computed as Profile.PowerAt computes it, so
@@ -188,9 +187,13 @@ func Compose(members []*placement.Profile, policy Policy) (Aggregate, error) {
 // Float64bits-identical to expanding the multiset (see
 // TestGroupedEvaluatorOracle).
 //
-// Compose builds one per call; internal/fleetsim builds one per
-// simulation and reuses it across every time step. An Evaluator is
-// immutable after construction and safe for concurrent use.
+// PowerAt searches for each demand's position in the fleet;
+// PowerAtEach evaluates a slice of demands walking from one position to
+// the next, with the same per-demand arithmetic. Compose builds one
+// evaluator per call; internal/fleetsim builds one per simulation and
+// reuses it across every time step; the composition optimizer Resets
+// one per search segment for every candidate it scores. Between Resets
+// an Evaluator is read-only and safe for concurrent use.
 type Evaluator struct {
 	policy Policy
 	// groups are the fleet's maximal runs in member order; startIdx[g]
@@ -215,23 +218,30 @@ type Evaluator struct {
 	count, peakW []float64
 	runs         []spreadRun
 	run0         [1]spreadRun
-	// OptimalRegion state: order is the engage order, coalesced into
-	// maximal runs again after the stable sort. levels holds, per group
-	// of order, one member's power at level l — 0 idle, 1 the engage
-	// target, 2 the top-up level — at levels[l*len(order)+i], and the
-	// group's count times it at levels[(3+l)*len(order)+i].
-	order  []placement.Group
-	levels []float64
+	// OptimalRegion state: fill is the engage order, coalesced into
+	// maximal runs again after the stable sort. levels holds, per run of
+	// fill, one member's power at level l — 0 idle, 1 the engage target,
+	// 2 the top-up level — at levels[l*len(fill)+i], and the run's count
+	// times it at levels[(3+l)*len(fill)+i]. upperSum[l-1][k] is the
+	// sum, in engage order from zero, of the count-times terms of level
+	// l over the first k runs: a fill's fully engaged prefix.
+	fill     []placement.FillRun
+	levels   []float64
+	upperSum [2][]float64
+	// buf backs the policy's float arrays and spill its grid runs when
+	// there is more than one, so a Reset that fits reuses them.
+	buf   []float64
+	spill []spreadRun
 }
 
-// spreadRun is a maximal member-order run of groups sharing one
-// utilization grid (the first group's, read-only). norm holds the
-// normalized power of its n groups level-major: norm[l*n+j] is the
-// run's j'th group at grid level l.
+// spreadRun is a maximal member-order run of groups [lo, end) sharing
+// one utilization grid (the first group's, read-only). norm holds the
+// normalized power of its groups level-major: norm[l*n+j] is the run's
+// j'th group at grid level l, n = end-lo.
 type spreadRun struct {
-	end  int // one past the run's last group
-	grid []float64
-	norm []float64
+	lo, end int
+	grid    []float64
+	norm    []float64
 }
 
 // NewEvaluator validates the members and precomputes the policy's
@@ -241,14 +251,7 @@ func NewEvaluator(members []*placement.Profile, policy Policy) (*Evaluator, erro
 	if len(members) == 0 {
 		return nil, errors.New("cluster: no members")
 	}
-	ev, err := newGroupedEvaluator(placement.GroupRuns(members), policy)
-	if err != nil {
-		return nil, err
-	}
-	if ev.capacity <= 0 {
-		return nil, errors.New("cluster: zero capacity")
-	}
-	return ev, nil
+	return NewGroupedEvaluator(placement.GroupRuns(members), policy)
 }
 
 // NewGroupedEvaluator builds an evaluator for a fleet given as model
@@ -259,16 +262,32 @@ func NewEvaluator(members []*placement.Profile, policy Policy) (*Evaluator, erro
 // nil profiles are rejected. The result is Float64bits-identical to
 // NewEvaluator over the expanded member list.
 func NewGroupedEvaluator(groups []placement.Group, policy Policy) (*Evaluator, error) {
-	merged := make([]placement.Group, 0, len(groups))
+	ev := new(Evaluator)
+	if err := ev.Reset(groups, policy); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
+// Reset rebuilds the evaluator in place for a new fleet, with
+// NewGroupedEvaluator's validation and result, reusing the evaluator's
+// buffers: a Reset whose fleet fits them allocates nothing. It must not
+// run concurrently with any other use of the evaluator, and after an
+// error the evaluator is unusable until a Reset succeeds.
+func (ev *Evaluator) Reset(groups []placement.Group, policy Policy) error {
+	merged := ev.groups[:0]
+	if cap(merged) < len(groups) {
+		merged = make([]placement.Group, 0, len(groups))
+	}
 	for _, g := range groups {
 		if g.Count < 0 {
-			return nil, fmt.Errorf("cluster: negative group count %d", g.Count)
+			return fmt.Errorf("cluster: negative group count %d", g.Count)
 		}
 		if g.Count == 0 {
 			continue
 		}
 		if g.P == nil {
-			return nil, errors.New("cluster: nil profile in group")
+			return errors.New("cluster: nil profile in group")
 		}
 		if n := len(merged); n > 0 && merged[n-1].P == g.P {
 			merged[n-1].Count += g.Count
@@ -277,37 +296,32 @@ func NewGroupedEvaluator(groups []placement.Group, policy Policy) (*Evaluator, e
 		merged = append(merged, g)
 	}
 	if len(merged) == 0 {
-		return nil, errors.New("cluster: no members")
+		return errors.New("cluster: no members")
 	}
-	ev, err := newGroupedEvaluator(merged, policy)
-	if err != nil {
-		return nil, err
+	if err := ev.build(merged, policy); err != nil {
+		return err
 	}
 	if ev.capacity <= 0 {
-		return nil, errors.New("cluster: zero capacity")
+		return errors.New("cluster: zero capacity")
 	}
-	return ev, nil
+	return nil
 }
 
-// coalesceGroups merges adjacent equal-profile groups in place — used
-// after the engage-order sort brings split runs back together, so fill
-// runs are maximal on both the grouped and the expanded path.
-func coalesceGroups(groups []placement.Group) []placement.Group {
-	out := groups[:0]
-	for _, g := range groups {
-		if n := len(out); n > 0 && out[n-1].P == g.P {
-			out[n-1].Count += g.Count
-			continue
-		}
-		out = append(out, g)
+// grow returns s resized to n, reallocating only when it lacks room.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return out
+	return s[:n]
 }
 
-func newGroupedEvaluator(groups []placement.Group, policy Policy) (*Evaluator, error) {
+// build lays out the policy's arrays for groups, maximal runs in member
+// order, on the evaluator's buffers.
+func (ev *Evaluator) build(groups []placement.Group, policy Policy) error {
 	G := len(groups)
-	ev := &Evaluator{policy: policy, groups: groups}
-	ev.startIdx = make([]int, G+1)
+	*ev = Evaluator{policy: policy, groups: groups,
+		startIdx: grow(ev.startIdx, G+1), fill: ev.fill[:0], buf: ev.buf, spill: ev.spill}
+	ev.startIdx[0] = 0
 	for i, g := range groups {
 		ev.startIdx[i+1] = ev.startIdx[i] + g.Count
 	}
@@ -319,7 +333,8 @@ func newGroupedEvaluator(groups []placement.Group, policy Policy) (*Evaluator, e
 		}
 		ev.buildSpread()
 	case PolicyPack, PolicyPackPowerOff:
-		k := make([]float64, 6*G+1)
+		ev.buf = grow(ev.buf, 6*G+1)
+		k := ev.buf
 		ev.gOps, ev.gPeakW, ev.gIdleW = k[:G], k[G:2*G], k[2*G:3*G]
 		ev.endOps, ev.endPeakW, ev.sufIdleW = k[3*G:4*G], k[4*G:5*G], k[5*G:]
 		var ops, pw float64
@@ -332,6 +347,7 @@ func newGroupedEvaluator(groups []placement.Group, policy Policy) (*Evaluator, e
 			ev.endOps[i] = ops
 			ev.endPeakW[i] = pw
 		}
+		ev.sufIdleW[G] = 0
 		for i := G - 1; i >= 0; i-- {
 			ev.sufIdleW[i] = ev.sufIdleW[i+1] + float64(groups[i].Count)*ev.gIdleW[i]
 		}
@@ -344,25 +360,38 @@ func newGroupedEvaluator(groups []placement.Group, policy Policy) (*Evaluator, e
 			ev.capacity += float64(g.Count) * g.P.MaxOps
 			ev.idleW += float64(g.Count) * g.P.PowerAt(0)
 		}
-		ev.order = coalesceGroups(placement.EngageOrderGroups(groups))
-		O := len(ev.order)
-		ev.levels = make([]float64, 6*O)
-		for i, g := range ev.order {
-			target, top := fillLevels(g.P)
-			for l, u := range [3]float64{0, target, top} {
-				w := g.P.PowerAt(u)
-				ev.levels[l*O+i], ev.levels[(3+l)*O+i] = w, float64(g.Count)*w
+		if cap(ev.fill) < G {
+			ev.fill = make([]placement.FillRun, 0, G)
+		}
+		ev.fill = placement.SortEngageOrder(placement.AppendFillRuns(ev.fill, groups))
+		O := len(ev.fill)
+		ev.buf = grow(ev.buf, 8*O+2)
+		ev.levels = ev.buf[:6*O]
+		ev.upperSum[0], ev.upperSum[1] = ev.buf[6*O:7*O+1], ev.buf[7*O+1:]
+		for i, r := range ev.fill {
+			top := r.Target
+			if r.Head > 0 {
+				top = r.Target + r.Head/r.P.MaxOps
+			}
+			for l, u := range [3]float64{0, r.Target, top} {
+				w := r.P.PowerAt(u)
+				ev.levels[l*O+i], ev.levels[(3+l)*O+i] = w, float64(r.Count)*w
+			}
+		}
+		for l, sum := range ev.upperSum {
+			sum[0] = 0
+			for i, w := range ev.levels[(4+l)*O : (5+l)*O] {
+				sum[i+1] = sum[i] + w
 			}
 		}
 	default:
-		return nil, fmt.Errorf("cluster: unknown policy %d", policy)
+		return fmt.Errorf("cluster: unknown policy %d", policy)
 	}
-	return ev, nil
+	return nil
 }
 
-// buildSpread lays out the spread kernel: one allocation holds the
-// per-group count and peak watts, then each grid run's level-major
-// normalized power.
+// buildSpread lays out the spread kernel on buf: the per-group count
+// and peak watts, then each grid run's level-major normalized power.
 func (ev *Evaluator) buildSpread() {
 	G := len(ev.groups)
 	grid := func(g int) []float64 {
@@ -382,15 +411,17 @@ func (ev *Evaluator) buildSpread() {
 		size += len(grid(lo)) * (hi - lo)
 		lo = hi
 	}
-	t := make([]float64, size)
+	ev.buf = grow(ev.buf, size)
+	t := ev.buf
 	ev.count, ev.peakW, t = t[:G], t[G:2*G], t[2*G:]
 	ev.runs = ev.run0[:0]
 	if nRuns > 1 {
-		ev.runs = make([]spreadRun, 0, nRuns)
+		ev.spill = grow(ev.spill, nRuns)
+		ev.runs = ev.spill[:0]
 	}
 	for lo := 0; lo < G; {
 		hi := runEnd(lo)
-		r := spreadRun{end: hi, grid: grid(lo)}
+		r := spreadRun{lo: lo, end: hi, grid: grid(lo)}
 		n := hi - lo
 		r.norm, t = t[:len(r.grid)*n], t[len(r.grid)*n:]
 		for j := lo; j < hi; j++ {
@@ -405,25 +436,6 @@ func (ev *Evaluator) buildSpread() {
 	}
 }
 
-// fillLevels returns the utilizations placement.FillGroups runs a
-// member of p at when it is not the marginal member: its engage target
-// (the optimal utilization under the cap, where a
-// Profile.UtilizationCap outside (0, 1] is no cap) and its top-up level
-// (the target plus the headroom under the cap, or the target when there
-// is none).
-func fillLevels(p *placement.Profile) (target, top float64) {
-	limit := p.UtilizationCap
-	if limit <= 0 || limit > 1 {
-		limit = 1
-	}
-	target = min(p.OptimalUtilization, limit)
-	top = target
-	if head := p.CappedOps() - p.OpsAt(target); head > 0 {
-		top = target + head/p.MaxOps
-	}
-	return target, top
-}
-
 // Policy returns the policy the evaluator was built for.
 func (ev *Evaluator) Policy() Policy { return ev.policy }
 
@@ -431,7 +443,7 @@ func (ev *Evaluator) Policy() Policy { return ev.policy }
 func (ev *Evaluator) Len() int { return ev.n }
 
 // Groups returns the fleet's maximal runs in member order. The slice
-// is the evaluator's own and must not be mutated.
+// is the evaluator's own: it must not be mutated, and Reset reuses it.
 func (ev *Evaluator) Groups() []placement.Group { return ev.groups }
 
 // Capacity returns the fleet's total throughput at full load.
@@ -487,6 +499,108 @@ func (ev *Evaluator) packPoint(d float64) (gi, j int) {
 	return gi, jlo
 }
 
+// packMember is a pack fleet's marginal member, the j'th of group gi,
+// with what every demand it takes shares: the capacity (lo, hi] it
+// covers, lo being what the members before it serve, and the draw of
+// the members before it at full load and, under PolicyPack, of the
+// idle members after it.
+type packMember struct {
+	gi, j         int
+	lo, hi, per   float64
+	before, after float64
+	p             *placement.Profile
+	// idle is set under PolicyPack, whose members after the marginal
+	// one draw idle power.
+	idle bool
+}
+
+// setPackMember makes m the j'th member of group gi.
+func (ev *Evaluator) setPackMember(m *packMember, gi, j int) {
+	base, basePw := 0.0, 0.0
+	if gi > 0 {
+		base, basePw = ev.endOps[gi-1], ev.endPeakW[gi-1]
+	}
+	per := ev.gOps[gi]
+	m.gi, m.j, m.per, m.p = gi, j, per, ev.groups[gi].P
+	m.lo = base + float64(j-1)*per
+	m.hi = base + float64(j)*per
+	m.before = basePw + float64(j-1)*ev.gPeakW[gi]
+	m.idle = ev.policy == PolicyPack
+	if !m.idle {
+		return
+	}
+	// suffixIdleW of the member after this one, in closed form: the
+	// rest of group gi, or from the next group on.
+	if rest := ev.groups[gi].Count - j; rest > 0 {
+		m.after = ev.sufIdleW[gi+1] + float64(rest)*ev.gIdleW[gi]
+	} else {
+		m.after = ev.sufIdleW[gi+1]
+	}
+}
+
+// util is the member's utilization serving positive demand it is
+// marginal for: what the members before it leave, over its capacity.
+func (m *packMember) util(demandOps float64) float64 {
+	return (demandOps - m.lo) / m.per
+}
+
+// powerAt is the pack draw with the member at utilization u: the
+// members before it full, it at u, and, under PolicyPack, the members
+// after it idle.
+func (m *packMember) powerAt(u float64) float64 {
+	watts := m.before + m.p.PowerAt(u)
+	if m.idle {
+		watts += m.after
+	}
+	return watts
+}
+
+// packStep moves m to the marginal member of positive demand d, from
+// the previous demand's: packPoint's answer, walked to instead of
+// searched for. Groups are few, so it walks them one at a time; inside
+// a group it walks from m's member, or from the estimate (d-base)/per
+// in a new group.
+func (ev *Evaluator) packStep(m *packMember, d float64) {
+	last := len(ev.groups) - 1
+	if !(d <= ev.endOps[last]) {
+		// Beyond capacity, and NaN, which packPoint's searches also send
+		// to the last member.
+		ev.setPackMember(m, last, ev.groups[last].Count)
+		return
+	}
+	gi, j := m.gi, m.j
+	for gi > 0 && ev.endOps[gi-1] >= d {
+		gi--
+	}
+	for ev.endOps[gi] < d {
+		gi++
+	}
+	base := 0.0
+	if gi > 0 {
+		base = ev.endOps[gi-1]
+	}
+	per, n := ev.gOps[gi], ev.groups[gi].Count
+	if gi != m.gi {
+		j = int((d-base)/per) + 1
+	}
+	j = min(max(j, 1), n)
+	for j > 1 && base+float64(j-1)*per >= d {
+		j--
+	}
+	for j < n && base+float64(j)*per < d {
+		j++
+	}
+	ev.setPackMember(m, gi, j)
+}
+
+// packIdle is the pack policies' draw at demand at or below zero.
+func (ev *Evaluator) packIdle() float64 {
+	if ev.policy == PolicyPackPowerOff {
+		return 0
+	}
+	return ev.idleW
+}
+
 // prefixOps returns the closed-form cumulative capacity of the first k
 // members; k must be in [1, n].
 func (ev *Evaluator) prefixOps(k int) float64 {
@@ -528,95 +642,131 @@ func (ev *Evaluator) suffixIdleW(k int) float64 {
 func (ev *Evaluator) PowerAt(demandOps float64) float64 {
 	switch ev.policy {
 	case PolicySpread:
-		return ev.spreadPower(demandOps)
-	case PolicyPack, PolicyPackPowerOff:
-		if demandOps <= 0 {
-			if ev.policy == PolicyPackPowerOff {
-				return 0
-			}
-			return ev.idleW
-		}
-		// Marginal member k: members[:k-1] run full, members[k-1] takes
-		// the remainder, members[k:] idle.
-		gi, j := ev.packPoint(demandOps)
-		k := ev.startIdx[gi] + j
-		base := 0.0
-		basePw := 0.0
-		if gi > 0 {
-			base = ev.endOps[gi-1]
-			basePw = ev.endPeakW[gi-1]
-		}
-		prevOps := base + float64(j-1)*ev.gOps[gi]
-		watts := basePw + float64(j-1)*ev.gPeakW[gi] +
-			ev.groups[gi].P.PowerAt((demandOps-prevOps)/ev.gOps[gi])
-		if ev.policy == PolicyPack {
-			watts += ev.suffixIdleW(k)
+		u := ev.spreadUtil(demandOps)
+		var watts float64
+		for k := range ev.runs {
+			r := &ev.runs[k]
+			i := placement.GridSegment(r.grid, u, int(u*float64(len(r.grid)-1)))
+			watts = ev.addSpreadRun(watts, r, u, i)
 		}
 		return watts
+	case PolicyPack, PolicyPackPowerOff:
+		if demandOps <= 0 {
+			return ev.packIdle()
+		}
+		var m packMember
+		gi, j := ev.packPoint(demandOps)
+		ev.setPackMember(&m, gi, j)
+		return m.powerAt(m.util(demandOps))
 	case PolicyOptimalRegion:
 		if demandOps <= 0 {
 			// All members idle.
 			return ev.idleW
 		}
-		return ev.optimalRegionPower(demandOps)
+		return ev.fillPower(placement.FillGroups(ev.fill, demandOps, placement.Fill{}))
 	default:
 		return 0
 	}
 }
 
-// spreadPower runs every member at the same utilization u: per grid
-// run, one segment search, then count × ((a + frac·(b−a)) × peak) over
+// PowerAtEach writes PowerAt(demands[i]) to dst[i] for every i, bit for
+// bit; dst must be at least as long as demands. It carries each
+// demand's position in the fleet — the marginal group and member for
+// the pack policies, the grid segment of every grid run for spread, the
+// split of the marginal run for optimal-region — over to the next
+// demand and walks from there, so ascending demands, or demands that
+// mostly ascend, cost each a few steps instead of a search; in any
+// other order a demand costs the distance its position moves.
+func (ev *Evaluator) PowerAtEach(dst, demands []float64) {
+	dst = dst[:len(demands)]
+	switch ev.policy {
+	case PolicySpread:
+		// Run-major: each run's contribution lands on dst in run order,
+		// so every demand sums its terms in PowerAt's order.
+		clear(dst)
+		for k := range ev.runs {
+			r := &ev.runs[k]
+			i := 1
+			for c, d := range demands {
+				u := ev.spreadUtil(d)
+				i = placement.GridSegment(r.grid, u, i)
+				dst[c] = ev.addSpreadRun(dst[c], r, u, i)
+			}
+		}
+	case PolicyPack, PolicyPackPowerOff:
+		// A demand inside the last one's marginal member takes two
+		// compares to place.
+		var m packMember
+		ev.setPackMember(&m, 0, 1)
+		for c, d := range demands {
+			if d <= 0 {
+				dst[c] = ev.packIdle()
+				continue
+			}
+			if !(m.lo < d && d <= m.hi) {
+				ev.packStep(&m, d)
+			}
+			dst[c] = m.powerAt(m.util(d))
+		}
+	case PolicyOptimalRegion:
+		var f placement.Fill
+		for c, d := range demands {
+			if d <= 0 {
+				dst[c] = ev.idleW
+				continue
+			}
+			f = placement.FillGroups(ev.fill, d, f)
+			dst[c] = ev.fillPower(f)
+		}
+	default:
+		clear(dst)
+	}
+}
+
+// spreadUtil is the utilization every member runs at under spread.
+func (ev *Evaluator) spreadUtil(demandOps float64) float64 {
+	return max(0, min(1, demandOps/ev.capacity))
+}
+
+// addSpreadRun adds run r's draw with every member at utilization u,
+// on grid segment i, to watts: count × ((a + frac·(b−a)) × peak) over
 // the run's two level rows — Profile.PowerAt's interpolation, term for
 // term.
-func (ev *Evaluator) spreadPower(demandOps float64) float64 {
-	u := max(0, min(1, demandOps/ev.capacity))
-	var watts float64
-	lo := 0
-	for _, r := range ev.runs {
-		n := r.end - lo
-		// Profile.PowerAt's segment: the first grid point at or above u,
-		// at least 1; NaN lands past the end and interpolates to NaN.
-		i := min(max(sort.SearchFloat64s(r.grid, u), 1), len(r.grid)-1)
-		frac := (u - r.grid[i-1]) / (r.grid[i] - r.grid[i-1])
-		a := r.norm[(i-1)*n : i*n]
-		b := r.norm[i*n : (i+1)*n][:len(a)]
-		count, peakW := ev.count[lo:r.end][:len(a)], ev.peakW[lo:r.end][:len(a)]
-		for j := range a {
-			watts += count[j] * ((a[j] + frac*(b[j]-a[j])) * peakW[j])
-		}
-		lo = r.end
+func (ev *Evaluator) addSpreadRun(watts float64, r *spreadRun, u float64, i int) float64 {
+	n := r.end - r.lo
+	frac := (u - r.grid[i-1]) / (r.grid[i] - r.grid[i-1])
+	a := r.norm[(i-1)*n : i*n]
+	b := r.norm[i*n : (i+1)*n][:len(a)]
+	count, peakW := ev.count[r.lo:r.end][:len(a)], ev.peakW[r.lo:r.end][:len(a)]
+	for j := range a {
+		watts += count[j] * ((a[j] + frac*(b[j]-a[j])) * peakW[j])
 	}
 	return watts
 }
 
-// optimalRegionPower sums the proportional fill of positive demand in
-// engage order: the groups before the marginal one at their upper
-// level, the marginal group's split, the groups after it at their lower
-// level. Until the fill tops up, the levels are the engage target and
-// idle; in the top-up phase they are the top-up level and the engage
-// target.
-func (ev *Evaluator) optimalRegionPower(demandOps float64) float64 {
-	f := placement.FillGroups(ev.order, demandOps)
-	O, upper := len(ev.order), 1
+// fillPower sums a proportional fill of positive demand in engage
+// order: the runs before the marginal one at their upper level, the
+// marginal run's split, the runs after it at their lower level. Until
+// the fill tops up, the levels are the engage target and idle; in the
+// top-up phase they are the top-up level and the engage target.
+func (ev *Evaluator) fillPower(f placement.Fill) float64 {
+	O, upper := len(ev.fill), 1
 	if f.TopUp {
 		upper = 2
 	}
-	row := func(k int) []float64 { return ev.levels[k*O : (k+1)*O] }
-	upperP, lowerP, upperGW, lowerGW := row(upper), row(upper-1), row(3+upper), row(2+upper)
-	var watts float64
-	for _, w := range upperGW[:f.Group] {
-		watts += w
-	}
 	m := f.Group
+	watts := ev.upperSum[upper-1][m]
 	if m == O {
 		return watts
 	}
-	lo := ev.order[m].Count - f.Hi
+	row := func(k int) []float64 { return ev.levels[k*O : (k+1)*O] }
+	upperP, lowerP, lowerGW := row(upper), row(upper-1), row(2+upper)
+	lo := ev.fill[m].Count - f.Hi
 	if f.Hi > 0 {
 		watts += float64(f.Hi) * upperP[m]
 	}
 	if f.Mid {
-		watts += ev.order[m].P.PowerAt(f.MidUtil)
+		watts += ev.fill[m].P.PowerAt(f.MidUtil)
 		lo--
 	}
 	if lo > 0 {
@@ -733,15 +883,9 @@ func (ev *Evaluator) ActivePower(demandOps float64, active int) float64 {
 		// Saturated: every active member at full load.
 		return ev.prefixPeakW(active)
 	}
-	base := 0.0
-	basePw := 0.0
-	if gi > 0 {
-		base = ev.endOps[gi-1]
-		basePw = ev.endPeakW[gi-1]
-	}
-	prevOps := base + float64(j-1)*ev.gOps[gi]
-	return basePw + float64(j-1)*ev.gPeakW[gi] +
-		ev.groups[gi].P.PowerAt((demandOps-prevOps)/ev.gOps[gi]) +
+	var m packMember
+	ev.setPackMember(&m, gi, j)
+	return m.before + m.p.PowerAt(m.util(demandOps)) +
 		(ev.suffixIdleW(k) - ev.suffixIdleW(active))
 }
 

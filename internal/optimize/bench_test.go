@@ -124,3 +124,79 @@ func BenchmarkOptimizeNaivePerCandidate(b *testing.B) {
 		}
 	}
 }
+
+// allPolicyConfigs is fleet-batch's search shape: 5 models x counts
+// {0..6} x all four policies (67,228 candidates), pruning on, against
+// a 1-week 1-minute diurnal trace whose base demand is 8% of the
+// largest composition's capacity, so most of the space is feasible
+// and the admissible bound decides what is scored. It returns the
+// three objectives fleet-batch searches: static energy, carbon under
+// a diurnal intensity profile, and carbon over two regions with
+// scaled profiles and embodied carbon.
+func allPolicyConfigs(b *testing.B) (static, diurnal, regions Config) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(47))
+	models := testModels(b, rng, 5)
+	var maxCap float64
+	for _, m := range models {
+		maxCap += 6 * m.MaxOps
+	}
+	tr, err := trace.Diurnal(trace.DiurnalConfig{
+		Seed: 29, Days: 7, StepSeconds: 60,
+		BaseOps: 0.08 * maxCap, DailySwing: 0.4, SpikeProb: 0.002,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	carbon, err := trace.DiurnalIntensity(trace.IntensityConfig{StepSeconds: 3600, BaseKgPerKWh: 0.45})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tariff := trace.Tariff{USDPerKWh: 0.10, KgCO2PerKWh: 0.45, PUE: 1.5}
+	base := Config{Models: models, Trace: tr, MaxPerModel: 6, Bins: 128, TopK: 5, Seed: 7}
+	static, diurnal, regions = base, base, base
+	static.Objective = Objective{Metric: MetricEnergy, Tariff: tariff}
+	diurnal.Objective = Objective{Metric: MetricCarbon, Tariff: tariff, Carbon: carbon}
+	var rs []Region
+	for _, r := range []struct {
+		name           string
+		kg, pue, shape float64
+	}{{"west", 0.35, 1.2, 0.35}, {"east", 0.55, 1.5, 0.55}} {
+		p, err := carbon.Scaled(r.shape)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs = append(rs, Region{Name: r.name, Tariff: trace.Tariff{KgCO2PerKWh: r.kg, PUE: r.pue}, Carbon: p})
+	}
+	regions.Objective = Objective{Metric: MetricCarbon, Regions: rs}
+	regions.Embodied = make([]Embodied, len(models))
+	for i := range regions.Embodied {
+		regions.Embodied[i] = DefaultEmbodied()
+	}
+	return static, diurnal, regions
+}
+
+// BenchmarkOptimizeAllPolicies runs fleet-batch's three searches,
+// single-threaded, one sub-benchmark per objective. Unlike the
+// one-policy benchmarks above it exercises the bound shared across a
+// count vector's policies and the spread and optimal-region kernels.
+func BenchmarkOptimizeAllPolicies(b *testing.B) {
+	static, diurnal, regions := allPolicyConfigs(b)
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{{"static", static}, {"diurnal", diurnal}, {"regions", regions}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := OptimizeComposition(bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Evaluated == 0 || res.Pruned == 0 {
+					b.Fatalf("evaluated %d, pruned %d", res.Evaluated, res.Pruned)
+				}
+			}
+		})
+	}
+}

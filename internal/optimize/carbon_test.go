@@ -111,6 +111,7 @@ func TestCarbonLowerBoundAdmissible(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	counts := make([]int, len(sp.models))
+	s := sp.newScorer()
 	checked := 0
 	for trial := 0; trial < 400; trial++ {
 		id := int64(rng.Intn(int(sp.size)))
@@ -120,7 +121,7 @@ func TestCarbonLowerBoundAdmissible(t *testing.T) {
 			continue
 		}
 		checked++
-		if lb := sp.lowerBound(counts, policy); lb > c.Objective {
+		if lb := s.lowerBound(s.load(id)); lb > c.Objective {
 			t.Fatalf("2-D bound %v above objective %v for counts %v policy %v",
 				lb, c.Objective, counts, policy)
 		}

@@ -61,29 +61,6 @@ func TestPowerAtMatchesCurveBitForBit(t *testing.T) {
 	}
 }
 
-func TestPowerAtAllAndEEAtAll(t *testing.T) {
-	p := lutProfile(t)
-	us := []float64{-1, 0, 0.05, 0.333, 0.7, 0.95, 1, 2}
-	powers := p.PowerAtAll(us, nil)
-	ees := p.EEAtAll(us, nil)
-	if len(powers) != len(us) || len(ees) != len(us) {
-		t.Fatalf("batched lengths %d/%d, want %d", len(powers), len(ees), len(us))
-	}
-	for i, u := range us {
-		if powers[i] != p.PowerAt(u) {
-			t.Errorf("PowerAtAll[%d] = %v, PowerAt = %v", i, powers[i], p.PowerAt(u))
-		}
-		if ees[i] != p.EEAt(u) {
-			t.Errorf("EEAtAll[%d] = %v, EEAt = %v", i, ees[i], p.EEAt(u))
-		}
-	}
-	// Destination reuse: a large-enough dst is written in place.
-	dst := make([]float64, len(us))
-	if got := p.PowerAtAll(us, dst); &got[0] != &dst[0] {
-		t.Error("PowerAtAll reallocated a sufficient dst")
-	}
-}
-
 func TestOptimalEEMatchesEEAt(t *testing.T) {
 	p := lutProfile(t)
 	if got, want := p.OptimalEE(), p.EEAt(p.OptimalUtilization); got != want {

@@ -142,7 +142,7 @@ func medianInPlace(xs []float64) float64 {
 	if neg := signs - negZeros; negZeros > 0 && lo < neg+zeros && hi >= neg {
 		return sortedMiddle(xs)
 	}
-	selectNth(xs, hi)
+	SelectNth(xs, hi)
 	m := xs[hi]
 	if lo == hi {
 		return m
@@ -167,9 +167,9 @@ func sortedMiddle(xs []float64) float64 {
 	return m
 }
 
-// selectNth reorders the NaN-free xs so that xs[k] holds the value an
+// SelectNth reorders the NaN-free xs so that xs[k] holds the value an
 // ascending sort puts at index k, no value before it is larger and none
-// after it is smaller. It is quickselect over a branch-free Lomuto
+// after it is smaller, in O(len(xs)) expected time. It is quickselect over a branch-free Lomuto
 // partition: against a pivot near the median each comparison is close
 // to a coin flip, so a compare-and-branch partition mispredicts about
 // every other element. Comparisons run on orderKey, which orders -0.0
@@ -178,7 +178,7 @@ func sortedMiddle(xs []float64) float64 {
 // A pivot equal to the value just below the open range gathers its
 // whole run of ties in one pass. Past 2·log₂(n) rounds the range still
 // open is sorted instead, which bounds the worst case at O(n log n).
-func selectNth(xs []float64, k int) {
+func SelectNth(xs []float64, k int) {
 	lo, hi := 0, len(xs) // the open range is xs[lo:hi]
 	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 16 && rounds > 0; rounds-- {
 		v := xs[lo:hi]
