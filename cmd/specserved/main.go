@@ -332,8 +332,10 @@ func selfTest(srv *serve.Server, synthetic bool, out io.Writer) error {
 func checkScrape(srv *serve.Server, client *http.Client, base string, synthetic bool, figureRequests int, out io.Writer) error {
 	if synthetic {
 		// Load one keyed scenario first so the scrape spans two corpora.
-		if err := expectOK(client, base+fmt.Sprintf("/api/v1/summary?seed=%d&servers=64", srv.Snapshot().Seed)); err != nil {
-			return fmt.Errorf("keyed summary: %w", err)
+		// The EP distribution answers for any non-empty fleet; a summary
+		// would answer 422 whenever the 64 servers hold no 2016 server.
+		if err := expectOK(client, base+fmt.Sprintf("/api/v1/metrics/ep?seed=%d&servers=64", srv.Snapshot().Seed)); err != nil {
+			return fmt.Errorf("keyed scenario: %w", err)
 		}
 	}
 	resp, err := client.Get(base + "/metrics")
