@@ -111,6 +111,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadIntensityCSV -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzTheilSen -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzMedian -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzPowerAtEach -fuzztime $(FUZZTIME) ./internal/cluster
 

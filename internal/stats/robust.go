@@ -115,14 +115,25 @@ var slopeBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // medianInPlace returns the median of xs — the middle value, or the
 // mean of the middle two — bit for bit as sortFloat64s followed by a
-// read of the middle would, and reorders xs. One scan counts the
-// negatives and zeros; then the middle is selected in expected linear
-// time. A full sort happens, on xs still in its original order, only
-// when the sort alone decides the result's bits: the sample holds a NaN
-// (sort.Float64s orders NaNs first but keeps their payloads apart), or
-// a middle position falls among the zeros of a sample that holds -0.0
-// (±0 tie under <, and the unstable sort picks which one lands there).
+// read of the middle would, and reorders xs.
 func medianInPlace(xs []float64) float64 {
+	lower, upper := middleInPlace(xs)
+	if len(xs)%2 == 1 {
+		return upper
+	}
+	return (lower + upper) / 2
+}
+
+// middleInPlace returns the values at positions (n-1)/2 and n/2 of the
+// non-empty xs sorted by sortFloat64s, bit for bit, and reorders xs.
+// One scan counts the negatives and zeros; then the middle is selected
+// in expected linear time. A full sort happens, on xs still in its
+// original order, only when the sort alone decides the result's bits:
+// the sample holds a NaN (sort.Float64s orders NaNs first but keeps
+// their payloads apart), or a middle position falls among the zeros of
+// a sample that holds -0.0 (±0 tie under <, and the unstable sort picks
+// which one lands there).
+func middleInPlace(xs []float64) (lower, upper float64) {
 	n := len(xs)
 	hi, lo := n/2, (n-1)/2
 	// Count sign bits without a data-dependent branch (slope signs are
@@ -145,7 +156,7 @@ func medianInPlace(xs []float64) float64 {
 	SelectNth(xs, hi)
 	m := xs[hi]
 	if lo == hi {
-		return m
+		return m, m
 	}
 	// xs[:hi] holds no value above xs[hi]; the lower middle is its max.
 	a := xs[0]
@@ -154,17 +165,13 @@ func medianInPlace(xs []float64) float64 {
 			a = x
 		}
 	}
-	return (a + m) / 2
+	return a, m
 }
 
-// sortedMiddle sorts xs and reads its median.
-func sortedMiddle(xs []float64) float64 {
+// sortedMiddle sorts xs and reads its middle positions.
+func sortedMiddle(xs []float64) (lower, upper float64) {
 	sortFloat64s(xs)
-	m := xs[len(xs)/2]
-	if len(xs)%2 == 0 {
-		m = (xs[len(xs)/2-1] + m) / 2
-	}
-	return m
+	return xs[(len(xs)-1)/2], xs[len(xs)/2]
 }
 
 // SelectNth reorders the NaN-free xs so that xs[k] holds the value an

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -270,6 +271,134 @@ func FuzzTheilSen(f *testing.F) {
 			}
 		}
 		checkTheilSenMatchesRef(t, "fuzz", xs, ys)
+	})
+}
+
+// checkMedianMatchesSort requires Median to return exactly what the
+// sorting path, Quantile(xs, 0.5), returns — the same bits, or the same
+// error — and to leave xs as it found it. It returns the median (NaN
+// on error).
+func checkMedianMatchesSort(t *testing.T, name string, xs []float64) float64 {
+	t.Helper()
+	orig := make([]uint64, len(xs))
+	for i, x := range xs {
+		orig[i] = math.Float64bits(x)
+	}
+	got, gotErr := Median(xs)
+	want, wantErr := Quantile(xs, 0.5)
+	if gotErr != wantErr {
+		t.Fatalf("%s: error %v, sort path error %v", name, gotErr, wantErr)
+	}
+	if gotErr == nil && math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s (n=%d): median %v (%#x), sort path %v (%#x)", name, len(xs),
+			got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	for i, x := range xs {
+		if math.Float64bits(x) != orig[i] {
+			t.Fatalf("%s: Median reordered its input at %d", name, i)
+		}
+	}
+	if gotErr != nil {
+		return math.NaN()
+	}
+	return want
+}
+
+// TestMedianMatchesSort pins the selecting Median to the sorting path
+// over hand-picked edge cases and seeded samples on both sides of the
+// radix threshold: NaNs, ±0 at and off the middle, ties, ±Inf, the
+// extremes where (a+b)/2 and a/2+b/2 part ways, and n = 1 and 2.
+func TestMedianMatchesSort(t *testing.T) {
+	nan, negZero, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
+	var negZeroMedians, posZeroMedians, nanMedians int
+	check := func(name string, xs []float64) {
+		t.Helper()
+		switch m := checkMedianMatchesSort(t, name, xs); {
+		case m == 0 && math.Signbit(m):
+			negZeroMedians++
+		case m == 0:
+			posZeroMedians++
+		case m != m && len(xs) > 0:
+			nanMedians++
+		}
+	}
+	for i, xs := range [][]float64{
+		nil, {}, {1}, {nan}, {negZero}, {0}, {inf}, {-inf},
+		{1, 2}, {2, 1}, {1, 1}, {negZero, 0}, {0, negZero}, {negZero, negZero},
+		{nan, 1}, {1, nan}, {nan, nan}, {-inf, inf}, {inf, inf},
+		{huge, huge}, {-huge, -huge}, {huge, -huge}, {tiny, tiny}, {tiny, 3 * tiny}, {-tiny, tiny},
+		{3, 1, 2}, {2, 2, 2}, {negZero, 0, negZero}, {0, 1, negZero, -1},
+		{-1, negZero, 0, 1}, {negZero, negZero, 0, 0}, {0, 0, negZero, negZero},
+		{5, 5, 1, 5, 9, 5}, {nan, 3, 2, 1}, {1, 2, 3, nan, 4},
+	} {
+		check(fmt.Sprintf("fixed %d", i), xs)
+	}
+
+	rng := rand.New(rand.NewSource(24))
+	draw := func(shape string) float64 {
+		switch shape {
+		case "ties":
+			return float64(rng.Intn(4))
+		case "zeros":
+			return []float64{negZero, 0, 0, negZero, -1, 1}[rng.Intn(6)]
+		case "nan":
+			if rng.Intn(20) == 0 {
+				return nan
+			}
+		case "mostly-nan":
+			if rng.Intn(3) > 0 {
+				return nan
+			}
+		case "inf":
+			if rng.Intn(10) == 0 {
+				return math.Copysign(inf, rng.NormFloat64())
+			}
+		}
+		return rng.NormFloat64()
+	}
+	for _, shape := range []string{"continuous", "ties", "zeros", "nan", "mostly-nan", "inf"} {
+		sizes := []int{255, 256, 257, 1000, 4097}
+		for n := 1; n <= 40; n++ {
+			sizes = append(sizes, n, n)
+		}
+		for _, n := range sizes {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw(shape)
+			}
+			check(fmt.Sprintf("%s %d", shape, n), xs)
+		}
+	}
+	// The fixture must keep reaching the medians only the sort decides.
+	if negZeroMedians == 0 || posZeroMedians == 0 || nanMedians == 0 {
+		t.Errorf("fixture reached %d -0, %d +0 and %d NaN medians; want some of each",
+			negZeroMedians, posZeroMedians, nanMedians)
+	}
+}
+
+// FuzzMedian checks Median against the sorting path on arbitrary
+// float64 bit patterns, each 8-byte word one sample value.
+func FuzzMedian(f *testing.F) {
+	f.Add([]byte{})
+	word := func(xs ...float64) []byte {
+		var out []byte
+		for _, x := range xs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+		}
+		return out
+	}
+	f.Add(word(1))
+	f.Add(word(math.Copysign(0, -1), 0))
+	f.Add(word(math.NaN(), 2, 1))
+	f.Add(word(3, 3, 1, 3, math.Inf(-1), 7))
+	f.Add(word(math.MaxFloat64, math.MaxFloat64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := make([]float64, len(data)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkMedianMatchesSort(t, "fuzz", xs)
 	})
 }
 

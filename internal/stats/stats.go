@@ -103,9 +103,21 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// Median returns the median of xs (the 0.5 quantile).
+// Median returns the median of xs: Quantile(xs, 0.5), bit for bit. It
+// selects the middle one or two order statistics of a copy instead of
+// sorting it (middleInPlace) and combines them with quantileSorted's
+// interpolation.
 func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
+	if len(xs) == 0 {
+		return 0, ErrEmptySample
+	}
+	lower, upper := middleInPlace(append([]float64(nil), xs...))
+	if len(xs)%2 == 1 {
+		return upper, nil
+	}
+	// The R-7 position of the 0.5 quantile falls halfway between the two
+	// middle values, as it does between the two values of a pair.
+	return quantileSorted([]float64{lower, upper}, 0.5)
 }
 
 // Quantile returns the q-th quantile of xs, q in [0, 1], using linear
