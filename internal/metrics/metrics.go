@@ -14,13 +14,14 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Type is the OpenMetrics metric type of a family.
@@ -135,188 +136,242 @@ func Find(fams []Family, name string) *Family {
 // exposition ending in `# EOF`. It validates as it goes: metric and
 // label names must be legal, units must suffix the family name,
 // counter values must be finite and non-negative, histogram series
-// must follow writeSeries' rules and carry no `le` label of their own,
-// and no two samples of a family may share a label set. Nothing
-// reaches w unless every family validates. The input is not mutated.
+// must follow series' rules and carry no `le` label of their own, and
+// no two samples of a family may share a label set. Nothing reaches w
+// unless every family validates: the exposition renders into one
+// pooled buffer, which a single Write hands to w. The input is not
+// mutated.
 func Write(w io.Writer, fams []Family) error {
-	ordered := make([]*Family, len(fams))
+	e := encoders.Get().(*encoder)
+	defer e.release()
 	for i := range fams {
-		ordered[i] = &fams[i]
+		e.ordered = append(e.ordered, &fams[i])
 	}
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })
-
-	var sb strings.Builder
-	seen := make(map[string]bool, len(ordered))
-	for _, f := range ordered {
-		if err := writeFamily(&sb, f, seen); err != nil {
+	slices.SortStableFunc(e.ordered, func(a, b *Family) int { return strings.Compare(a.Name, b.Name) })
+	for _, f := range e.ordered {
+		if err := e.family(f); err != nil {
 			return err
 		}
 	}
-	sb.WriteString("# EOF\n")
-	_, err := io.WriteString(w, sb.String())
+	e.buf = append(e.buf, "# EOF\n"...)
+	_, err := w.Write(e.buf)
 	return err
 }
 
-// writeFamily renders one family's metadata and sorted samples.
-func writeFamily(sb *strings.Builder, f *Family, seen map[string]bool) error {
+// encoder renders families into buf. Its scratch slices and map keep
+// their capacity from one Write to the next through encoders, so a
+// warm scrape allocates little beyond what the caller's families hold.
+type encoder struct {
+	buf     []byte
+	lines   []line
+	labels  []Label
+	ordered []*Family
+	seen    map[string]Type // family names rendered so far
+}
+
+// line locates one rendered sample in an encoder's buf: its label-set
+// key (the sample name and labels) and the text the exposition carries
+// for it. A gauge or counter line starts with its key; a histogram
+// series renders its block after the key, which only identifies it.
+type line struct {
+	key, keyEnd, start, end int
+}
+
+var encoders = sync.Pool{New: func() any { return &encoder{seen: make(map[string]Type)} }}
+
+// release empties e, keeping its capacity but no reference to the
+// caller's families, and returns it to encoders.
+func (e *encoder) release() {
+	clear(e.ordered)
+	clear(e.labels[:cap(e.labels)])
+	e.buf, e.lines, e.labels, e.ordered = e.buf[:0], e.lines[:0], e.labels[:0], e.ordered[:0]
+	clear(e.seen)
+	encoders.Put(e)
+}
+
+// family renders one family's metadata and sorted samples onto buf.
+func (e *encoder) family(f *Family) error {
 	if !validName(f.Name) {
 		return fmt.Errorf("metrics: invalid family name %q", f.Name)
 	}
-	if seen[f.Name] {
+	if _, dup := e.seen[f.Name]; dup {
 		return fmt.Errorf("metrics: duplicate family %q", f.Name)
 	}
-	seen[f.Name] = true
-	for _, suffix := range sampleSuffixes[f.Type] {
-		// A counter's or histogram's sample names extend f.Name; another
-		// family with one of those literal names would collide in the
-		// exposition.
-		if suffix == "" {
-			continue
+	// A counter's or histogram's sample names extend its family name; a
+	// family with one of those literal names would collide in the
+	// exposition. Families render in name order, so the shorter name
+	// has been seen by the time the extended one comes. (An unseen name
+	// reads as TypeGauge, whose samples add no suffix.)
+	for _, t := range []Type{TypeCounter, TypeHistogram} {
+		for _, suffix := range sampleSuffixes[t] {
+			if base, ok := strings.CutSuffix(f.Name, suffix); ok && e.seen[base] == t {
+				return fmt.Errorf("metrics: %s %q collides with family %q", t, base, f.Name)
+			}
 		}
-		if seen[f.Name+suffix] {
-			return fmt.Errorf("metrics: %s %q collides with family %q", f.Type, f.Name, f.Name+suffix)
-		}
-		seen[f.Name+suffix] = true
 	}
+	e.seen[f.Name] = f.Type
 	if f.Unit != "" && !strings.HasSuffix(f.Name, "_"+f.Unit) {
 		return fmt.Errorf("metrics: family %q does not end in unit %q", f.Name, f.Unit)
 	}
 
 	if f.Help != "" {
-		sb.WriteString("# HELP ")
-		sb.WriteString(f.Name)
-		sb.WriteByte(' ')
-		sb.WriteString(escapeHelp(f.Help))
-		sb.WriteByte('\n')
+		e.buf = append(e.buf, "# HELP "...)
+		e.buf = append(e.buf, f.Name...)
+		e.buf = append(e.buf, ' ')
+		e.buf = appendEscaped(e.buf, f.Help, false)
+		e.buf = append(e.buf, '\n')
 	}
-	sb.WriteString("# TYPE ")
-	sb.WriteString(f.Name)
-	sb.WriteByte(' ')
-	sb.WriteString(f.Type.String())
-	sb.WriteByte('\n')
+	e.buf = append(e.buf, "# TYPE "...)
+	e.buf = append(e.buf, f.Name...)
+	e.buf = append(e.buf, ' ')
+	e.buf = append(e.buf, f.Type.String()...)
+	e.buf = append(e.buf, '\n')
 	if f.Unit != "" {
-		sb.WriteString("# UNIT ")
-		sb.WriteString(f.Name)
-		sb.WriteByte(' ')
-		sb.WriteString(f.Unit)
-		sb.WriteByte('\n')
+		e.buf = append(e.buf, "# UNIT "...)
+		e.buf = append(e.buf, f.Name...)
+		e.buf = append(e.buf, ' ')
+		e.buf = append(e.buf, f.Unit...)
+		e.buf = append(e.buf, '\n')
 	}
 
-	sampleName := f.Name
-	if f.Type == TypeCounter {
-		sampleName += "_total"
-	}
-	rendered := make([]string, 0, len(f.Samples))
-	keys := make(map[string]bool, len(f.Samples))
+	// Render every sample after the metadata, then append the lines in
+	// sorted order and move them down over the unsorted ones.
+	samples := len(e.buf)
+	e.lines = e.lines[:0]
 	for _, s := range f.Samples {
 		if f.Type == TypeCounter && (s.Value < 0 || math.IsNaN(s.Value) || math.IsInf(s.Value, 0)) {
 			return fmt.Errorf("metrics: counter %q has non-monotone-capable value %v", f.Name, s.Value)
 		}
-		labels := canonicalLabels(s.Labels)
-		var line strings.Builder
-		line.WriteString(sampleName)
-		if len(labels) > 0 {
-			line.WriteByte('{')
-			for i, l := range labels {
-				if !validLabelName(l.Name) {
-					return fmt.Errorf("metrics: family %q has invalid label name %q", f.Name, l.Name)
+		l := line{key: len(e.buf)}
+		e.buf = append(e.buf, f.Name...)
+		if f.Type == TypeCounter {
+			e.buf = append(e.buf, "_total"...)
+		}
+		if labels := e.sortedLabels(s.Labels); len(labels) > 0 {
+			e.buf = append(e.buf, '{')
+			for i, lb := range labels {
+				if !validLabelName(lb.Name) {
+					return fmt.Errorf("metrics: family %q has invalid label name %q", f.Name, lb.Name)
 				}
-				if i > 0 && labels[i-1].Name == l.Name {
-					return fmt.Errorf("metrics: family %q sample repeats label %q", f.Name, l.Name)
+				if i > 0 && labels[i-1].Name == lb.Name {
+					return fmt.Errorf("metrics: family %q sample repeats label %q", f.Name, lb.Name)
 				}
-				if f.Type == TypeHistogram && l.Name == "le" {
+				if f.Type == TypeHistogram && lb.Name == "le" {
 					return fmt.Errorf("metrics: histogram %q sample carries the bucket label le", f.Name)
 				}
 				if i > 0 {
-					line.WriteByte(',')
+					e.buf = append(e.buf, ',')
 				}
-				line.WriteString(l.Name)
-				line.WriteString(`="`)
-				line.WriteString(escapeLabelValue(l.Value))
-				line.WriteByte('"')
+				e.buf = append(e.buf, lb.Name...)
+				e.buf = append(e.buf, `="`...)
+				e.buf = appendEscaped(e.buf, lb.Value, true)
+				e.buf = append(e.buf, '"')
 			}
-			line.WriteByte('}')
+			e.buf = append(e.buf, '}')
 		}
-		key := line.String()
-		if keys[key] {
-			return fmt.Errorf("metrics: family %q has duplicate sample %s", f.Name, key)
-		}
-		keys[key] = true
+		l.keyEnd, l.start = len(e.buf), l.key
 		if f.Type == TypeHistogram {
-			// A series renders as one block, so the sort below keeps
-			// its lines together and in order.
-			line.Reset()
-			line.Grow((len(s.Buckets) + 2) * (len(key) + 40))
-			if err := writeSeries(&line, f.Name, key[len(f.Name):], s); err != nil {
+			l.start = l.keyEnd
+			if err := e.series(f.Name, l.key+len(f.Name), l.keyEnd, s); err != nil {
 				return err
 			}
 		} else {
-			line.WriteByte(' ')
-			writeValue(&line, s.Value)
-			line.WriteByte('\n')
+			e.buf = append(e.buf, ' ')
+			e.buf = strconv.AppendFloat(e.buf, s.Value, 'g', -1, 64)
+			e.buf = append(e.buf, '\n')
 		}
-		rendered = append(rendered, line.String())
+		l.end = len(e.buf)
+		e.lines = append(e.lines, l)
 	}
-	sort.Strings(rendered)
-	for _, line := range rendered {
-		sb.WriteString(line)
+	buf := e.buf
+	slices.SortFunc(e.lines, func(a, b line) int { return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end]) })
+	// A label set renders prefix-free, and no other sample's text
+	// starts with what a sample's text starts with up to its value (a
+	// histogram's up to its first bound), so samples sharing a label set
+	// sort next to each other.
+	for i := 1; i < len(e.lines); i++ {
+		a, b := e.lines[i-1], e.lines[i]
+		if key := buf[b.key:b.keyEnd]; bytes.Equal(buf[a.key:a.keyEnd], key) {
+			return fmt.Errorf("metrics: family %q has duplicate sample %s", f.Name, key)
+		}
 	}
+	sorted := len(e.buf)
+	for _, l := range e.lines {
+		e.buf = append(e.buf, e.buf[l.start:l.end]...)
+	}
+	e.buf = e.buf[:samples+copy(e.buf[samples:], e.buf[sorted:])]
 	return nil
 }
 
-// writeSeries renders one histogram series, whose rendered label set
-// is set: its buckets, then _count and _sum. Bucket bounds must
-// strictly ascend to +Inf, the bound rendered as the last label, and
-// counts must be finite and must not decrease.
-func writeSeries(b *strings.Builder, name, set string, s Sample) error {
-	bucket := name + `_bucket{le="`
-	if set != "" {
-		bucket = name + "_bucket" + set[:len(set)-1] + `,le="`
+// sortedLabels returns labels sorted by name: labels itself when it is
+// already in order, else a sorted copy in e's scratch.
+func (e *encoder) sortedLabels(labels []Label) []Label {
+	if slices.IsSortedFunc(labels, labelOrder) {
+		return labels
 	}
+	e.labels = append(e.labels[:0], labels...)
+	slices.SortStableFunc(e.labels, labelOrder)
+	return e.labels
+}
+
+// series renders one histogram series, whose rendered label set is
+// buf[set:setEnd]: its buckets, then _count and _sum. Bucket bounds
+// must strictly ascend to +Inf, the bound rendered as the last label,
+// and counts must be finite and must not decrease.
+func (e *encoder) series(name string, set, setEnd int, s Sample) error {
+	labeled := setEnd > set
 	prev := Bucket{UpperBound: math.Inf(-1)}
 	for _, bk := range s.Buckets {
 		if !(bk.UpperBound > prev.UpperBound) || !(bk.Count >= prev.Count) || math.IsInf(bk.Count, 1) {
 			return fmt.Errorf("metrics: histogram %q%s: bucket %v after %v: bounds must ascend, counts must be finite and not decrease",
-				name, set, bk, prev)
+				name, e.buf[set:setEnd], bk, prev)
 		}
-		b.WriteString(bucket)
-		writeValue(b, bk.UpperBound)
-		b.WriteString(`"} `)
-		writeValue(b, bk.Count)
-		b.WriteByte('\n')
+		e.buf = append(e.buf, name...)
+		e.buf = append(e.buf, "_bucket"...)
+		if labeled {
+			e.buf = append(e.buf, e.buf[set:setEnd-1]...)
+			e.buf = append(e.buf, `,le="`...)
+		} else {
+			e.buf = append(e.buf, `{le="`...)
+		}
+		e.buf = strconv.AppendFloat(e.buf, bk.UpperBound, 'g', -1, 64)
+		e.buf = append(e.buf, `"} `...)
+		e.buf = strconv.AppendFloat(e.buf, bk.Count, 'g', -1, 64)
+		e.buf = append(e.buf, '\n')
 		prev = bk
 	}
 	if !math.IsInf(prev.UpperBound, 1) {
-		return fmt.Errorf("metrics: histogram %q%s has no +Inf bucket", name, set)
+		return fmt.Errorf("metrics: histogram %q%s has no +Inf bucket", name, e.buf[set:setEnd])
 	}
-	fmt.Fprintf(b, "%s_count%s ", name, set)
-	writeValue(b, prev.Count)
-	fmt.Fprintf(b, "\n%s_sum%s ", name, set)
-	writeValue(b, s.Value)
-	b.WriteByte('\n')
+	e.seriesTotal(name, "_count", set, setEnd, prev.Count)
+	e.seriesTotal(name, "_sum", set, setEnd, s.Value)
 	return nil
 }
 
-// writeValue renders a float the way the exposition format expects:
-// the shortest decimal that round-trips, with strconv's NaN, +Inf and
-// -Inf being the spec spellings of the non-finite values. Formatting
-// into a stack buffer keeps a scrape from allocating per value.
-func writeValue(b *strings.Builder, v float64) {
-	var buf [32]byte
-	b.Write(strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
+// seriesTotal renders a series' _count or _sum line (suffix), whose
+// label set is buf[set:setEnd].
+func (e *encoder) seriesTotal(name, suffix string, set, setEnd int, v float64) {
+	e.buf = append(e.buf, name...)
+	e.buf = append(e.buf, suffix...)
+	e.buf = append(e.buf, e.buf[set:setEnd]...)
+	e.buf = append(e.buf, ' ')
+	e.buf = strconv.AppendFloat(e.buf, v, 'g', -1, 64)
+	e.buf = append(e.buf, '\n')
 }
 
 // canonicalLabels returns the labels sorted by name, without mutating
 // the input; labels already in order are returned as they are.
 func canonicalLabels(labels []Label) []Label {
-	byName := func(a, b Label) int { return strings.Compare(a.Name, b.Name) }
-	if slices.IsSortedFunc(labels, byName) {
+	if slices.IsSortedFunc(labels, labelOrder) {
 		return labels
 	}
 	out := slices.Clone(labels)
-	slices.SortStableFunc(out, byName)
+	slices.SortStableFunc(out, labelOrder)
 	return out
 }
+
+// labelOrder orders labels by name.
+func labelOrder(a, b Label) int { return strings.Compare(a.Name, b.Name) }
 
 func labelsEqual(a, b []Label) bool {
 	if len(a) != len(b) {
@@ -364,16 +419,26 @@ func validLabelName(s string) bool {
 	return true
 }
 
-// escapeHelp escapes a HELP text: backslash and newline.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// escapeLabelValue escapes a label value: backslash, double quote and
-// newline.
-func escapeLabelValue(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// appendEscaped appends s to b with backslashes and newlines escaped,
+// and double quotes too when quote is set: the HELP text escapes, and
+// with quote the label value escapes.
+func appendEscaped(b []byte, s string, quote bool) []byte {
+	special := "\\\n"
+	if quote {
+		special = "\\\n\""
+	}
+	for {
+		i := strings.IndexAny(s, special)
+		if i < 0 {
+			return append(b, s...)
+		}
+		b = append(b, s[:i]...)
+		switch s[i] {
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, '\\', s[i])
+		}
+		s = s[i+1:]
+	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -45,11 +46,11 @@ func Parse(data []byte) ([]Family, error) {
 			// Re-rendering applies the writer's series rules, and the
 			// bytes must match: each _count is its +Inf count, every
 			// series ends in _sum, and no line is out of place.
-			var sb strings.Builder
-			if err := writeFamily(&sb, cur, make(map[string]bool)); err != nil {
+			e := encoder{seen: make(map[string]Type)}
+			if err := e.family(cur); err != nil {
 				return err
 			}
-			if sb.String() != string(data[curStart:end]) {
+			if !bytes.Equal(e.buf, data[curStart:end]) {
 				return fmt.Errorf("histogram %q does not read as Write renders it", cur.Name)
 			}
 		}

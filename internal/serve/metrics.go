@@ -296,30 +296,37 @@ func (s *Server) scrapeFamilies() (fams []metrics.Family, warm bool, err error) 
 		}
 	}
 
+	serve := s.serveFamilies(snaps)
 	var out []metrics.Family
-	idx := make(map[string]int)
+	var idx map[string]int
 	add := func(f metrics.Family) {
 		if i, ok := idx[f.Name]; ok {
 			out[i].Samples = append(out[i].Samples, f.Samples...)
 			return
 		}
-		// Copy the sample slice: the family may be a snapshot's memoized
-		// value, and appending another snapshot's samples to a shared
-		// backing array would race between concurrent scrapes.
-		f.Samples = append([]metrics.Sample(nil), f.Samples...)
+		// Cap the sample slice at its length: the family may be a
+		// snapshot's memoized value, so the first merge into it must copy
+		// its samples rather than append to the shared backing array,
+		// which would race between concurrent scrapes.
+		f.Samples = f.Samples[:len(f.Samples):len(f.Samples)]
 		idx[f.Name] = len(out)
 		out = append(out, f)
 	}
-	for _, sn := range snaps {
+	for i, sn := range snaps {
 		gauges, err := sn.gaugeFamilies()
 		if err != nil {
 			return nil, warm, err
+		}
+		if i == 0 {
+			// Every snapshot exports the same gauge families.
+			out = make([]metrics.Family, 0, len(gauges)+len(serve))
+			idx = make(map[string]int, cap(out))
 		}
 		for _, f := range gauges {
 			add(f)
 		}
 	}
-	for _, f := range s.serveFamilies(snaps) {
+	for _, f := range serve {
 		add(f)
 	}
 	return out, warm, nil
@@ -339,6 +346,9 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 		Help: "Requests that had to render (or join a render), by endpoint class.", Type: metrics.TypeCounter}
 	duration := metrics.Family{Name: "spec_serve_request_duration_seconds",
 		Help: "Request latency, by endpoint class.", Type: metrics.TypeHistogram, Unit: "seconds"}
+	for _, f := range []*metrics.Family{&requests, &reqErrors, &hits, &misses, &duration} {
+		f.Samples = make([]metrics.Sample, 0, len(endpointClasses))
+	}
 	for _, class := range endpointClasses {
 		e := s.endpoints[class]
 		hist := make([]metrics.Bucket, len(latencyBounds))
@@ -370,6 +380,9 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 	coalesced := metrics.Family{Name: "spec_serve_coalesced_renders",
 		Help: "Byte-cache misses that joined another request's in-flight render instead of rendering, by corpus.",
 		Type: metrics.TypeCounter}
+	for _, f := range []*metrics.Family{&entries, &cacheBytes, &cacheHits, &cacheMisses, &coalesced} {
+		f.Samples = make([]metrics.Sample, 0, len(snaps))
+	}
 	for _, sn := range snaps {
 		cs := sn.cache.Stats()
 		corpus := []metrics.Label{{Name: "corpus", Value: sn.Corpus}}
@@ -380,20 +393,6 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 		coalesced.Samples = append(coalesced.Samples, metrics.Sample{Labels: corpus, Value: float64(cs.Coalesced)})
 	}
 
-	// The reference grid-intensity curve is corpus-independent, so it is
-	// a server-level family — emitting it per snapshot would duplicate
-	// its series under the strict lint once a second corpus loads.
-	intensity := metrics.Family{Name: "spec_carbon_intensity_kg_per_kwh",
-		Help: "Reference diurnal grid carbon intensity by hour of day (0.45 kgCO2/kWh mean, 35% swing peaking at 19:00).",
-		Type: metrics.TypeGauge, Unit: "kg_per_kwh"}
-	if prof, err := trace.DiurnalIntensity(trace.IntensityConfig{}); err == nil {
-		for h, r := range prof.Rates {
-			intensity.Samples = append(intensity.Samples, metrics.Sample{
-				Labels: []metrics.Label{{Name: "hour", Value: fmt.Sprintf("%02d", h)}}, Value: r,
-			})
-		}
-	}
-
 	ws := s.workspace.Stats()
 	workspace := func(name, help string, t metrics.Type, v float64) metrics.Family {
 		return metrics.Family{Name: name, Help: help, Type: t,
@@ -401,7 +400,7 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 	}
 	return []metrics.Family{
 		requests, reqErrors, hits, misses, duration,
-		entries, cacheBytes, cacheHits, cacheMisses, coalesced, intensity,
+		entries, cacheBytes, cacheHits, cacheMisses, coalesced, referenceIntensity(),
 		workspace("spec_workspace_resident", "Keyed corpus scenarios resident in the workspace.",
 			metrics.TypeGauge, float64(ws.Resident)),
 		workspace("spec_workspace_capacity", "Workspace LRU capacity bound.",
@@ -420,6 +419,24 @@ func (s *Server) serveFamilies(snaps []*Snapshot) []metrics.Family {
 			metrics.TypeGauge, float64(s.gen.Load())),
 	}
 }
+
+// referenceIntensity is the reference grid-intensity curve. It is
+// corpus-independent, so it is a server-level family — emitting it per
+// snapshot would duplicate its series under the strict lint once a
+// second corpus loads — and constant, so it is built once.
+var referenceIntensity = sync.OnceValue(func() metrics.Family {
+	intensity := metrics.Family{Name: "spec_carbon_intensity_kg_per_kwh",
+		Help: "Reference diurnal grid carbon intensity by hour of day (0.45 kgCO2/kWh mean, 35% swing peaking at 19:00).",
+		Type: metrics.TypeGauge, Unit: "kg_per_kwh"}
+	if prof, err := trace.DiurnalIntensity(trace.IntensityConfig{}); err == nil {
+		for h, r := range prof.Rates {
+			intensity.Samples = append(intensity.Samples, metrics.Sample{
+				Labels: []metrics.Label{{Name: "hour", Value: fmt.Sprintf("%02d", h)}}, Value: r,
+			})
+		}
+	}
+	return intensity
+})
 
 // handleScrape serves the OpenMetrics exposition. It is never cached
 // in the byte cache — counters move between scrapes — but the
