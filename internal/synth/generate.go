@@ -56,8 +56,12 @@ type blueprint struct {
 	coresPerChip int
 	mpc          float64
 	epTarget     float64
-	spot         float64
-	anchor       *anchorSpec
+	// epQuantile is Φ(z) of the standard normal draw behind epTarget:
+	// the server's rank within its EP distribution, before the clamps.
+	// Only the fleet path reads it, to choose the peak spot.
+	epQuantile float64
+	spot       float64
+	anchor     *anchorSpec
 }
 
 type popSpec struct {
@@ -334,12 +338,16 @@ func (g *generator) sampleCores(code microarch.Codename) int {
 	return opts[g.rng.Intn(len(opts))]
 }
 
+// sampleEP draws bp's EP target and records the draw's quantile in
+// bp.epQuantile.
 func (g *generator) sampleEP(stats epStats, bp *blueprint) float64 {
 	mean := stats.mean + codenameEPBias[bp.code] + nodeEPBonus[bp.nodes] + mpcEPBonus[bp.mpc]
 	if bp.nodes == 1 {
 		mean += chipEPBonus[bp.chips]
 	}
-	ep := mean + stats.sigma*g.rng.NormFloat64()
+	z := g.rng.NormFloat64()
+	bp.epQuantile = 0.5 * math.Erfc(-z/math.Sqrt2)
+	ep := mean + stats.sigma*z
 	ep = math.Max(stats.lo, math.Min(stats.hi, ep))
 	// Global extremes are reserved for the anchor servers.
 	return math.Max(0.19, math.Min(0.99, ep))
