@@ -112,7 +112,7 @@ func TestJSONFromFileGolden(t *testing.T) {
 	if err := run([]string{"-in", path, "-json"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	const want = "9602862827873d855500bf831cc945cbb3bbb96ed3c67281349d6229840a52d1"
+	const want = "58536381aa7ac0c5981f0bf17959ff3161c4bcf939f7ae1f35805a032b5b90e7"
 	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want {
 		t.Errorf("-json digest = %s, want %s (output drifted)", got, want)
 	}

@@ -98,9 +98,9 @@ func TestRunDeterministic(t *testing.T) {
 // fleet generator's shard streams, ID scheme and row layout all feed
 // these digests, so any change to them shows here.
 var fleetDigests = map[string]string{
-	"csv":  "65b624d0c454b648bd638fd5da0b9f5ab1a8086272138ca47896ad3ffcd472a5",
-	"json": "b3590172c2bb3a033a85c8242e2b42f75b7ac3372f6f317d442562454e9072cd",
-	"epfb": "0b0f8a7fa49dd0b272b8fc7e8c3d6c38930dae294f3da6d634ddfdd798e21aeb",
+	"csv":  "f0ff610a3444890b4230e3acd3e009e9a399052e55ad9af558dbb6d93fb59818",
+	"json": "e4e142708907626e01bbc1baca1252506720a694b709b9d43a9175769143439f",
+	"epfb": "48c9b5ff93573152c60cd396a664684d62657fb74dbac4f3afa6f0910e532e9d",
 }
 
 func TestFleetGoldenDigests(t *testing.T) {

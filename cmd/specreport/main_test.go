@@ -90,7 +90,7 @@ func TestRunHTMLFormat(t *testing.T) {
 // fleetFileDigest pins `specreport -in F -no-sweeps` on the 5,000-server
 // seed-3 fleet. The CSV, JSON and EPFB v2 forms of the fleet carry the
 // same rows, so all three files must produce these exact bytes.
-const fleetFileDigest = "3822f0cd8dcb24d13b9fe45dae1ac50f759341d254f92efbb7fc7378c8e11c8b"
+const fleetFileDigest = "814ceeb9c30c32b2cfdb0c9c520816d36c69de0978ad887da76b3d575595308b"
 
 func TestReportFromFileGolden(t *testing.T) {
 	results, err := synth.GenerateFleet(synth.FleetConfig{Seed: 3, Servers: 5000})

@@ -51,14 +51,14 @@ var csvDigests = []struct {
 	args []string
 	want string
 }{
-	{[]string{"-policy", "spread", "-seed", "3"}, "821575d1b4b5747903784ca76f24aea3bb7c7a0517944e06dd905c584385d95a"},
-	{[]string{"-policy", "optimal-region", "-seed", "3"}, "45c7171987c7667531900cd0bf808226f715648660fc5b8c80e912660fbcc63a"},
-	{[]string{"-policy", "pack", "-seed", "3"}, "b63e322eb99450d4237dad1e7abc2fd093dedb90d19af71ea51a98b4bc20b857"},
-	{[]string{"-policy", "pack+off", "-seed", "3"}, "03478361489c747206b7d90f67923a4968e519d489a48e4466cdb129aa4224ed"},
-	{[]string{"-policy", "spread", "-seed", "2", "-servers", "300", "-duration", "2", "-load", "0.9"}, "e688e817a547dd344bf3fa89cb2b0aac3084a10aade38a05daafedd3608e73c4"},
-	{[]string{"-policy", "optimal-region", "-seed", "2", "-servers", "300", "-duration", "2", "-load", "0.9"}, "d69fb2de16df78a0dc9bde0ad9f31c67ec9e45d5cffdca4f1d606b2120de0f68"},
-	{[]string{"-policy", "spread", "-seed", "5", "-servers", "200", "-trace", "bursty", "-duration", "1", "-load", "1.1"}, "b671bbfd4fbd62f1a10424e52cd28c655a45ff94d91231110a9942c7c758951f"},
-	{[]string{"-policy", "optimal-region", "-seed", "5", "-servers", "200", "-trace", "bursty", "-duration", "1", "-load", "1.1"}, "7eb0f47cc25870acfb83e3716b0cd0f3b50e6f13f40f6f6f13d3da41748789f2"},
+	{[]string{"-policy", "spread", "-seed", "3"}, "a902de09ed3f30213cac0e7f68d8f109768395c0044d6d3f1a256536dce2781f"},
+	{[]string{"-policy", "optimal-region", "-seed", "3"}, "799f89f4e9d2bd94d060f580c5eb48169076834ade195e54afe42319ccd708af"},
+	{[]string{"-policy", "pack", "-seed", "3"}, "b432eef723a49ad12f36fb0cbfe741af31debb09e2208df7aba8707c6c3da310"},
+	{[]string{"-policy", "pack+off", "-seed", "3"}, "4655e7a564b3b1f23612cc26504b82ee1441ab8aac73c21b7529646e4b9d4f1d"},
+	{[]string{"-policy", "spread", "-seed", "2", "-servers", "300", "-duration", "2", "-load", "0.9"}, "6cf710e9519c8ea17c18a5c0f75f5dd86be0d3ff7a51f46c7135a50717205b72"},
+	{[]string{"-policy", "optimal-region", "-seed", "2", "-servers", "300", "-duration", "2", "-load", "0.9"}, "f7f3caf48d426e267fa15cd2add3e55f0b337729a0727f31642d99db24686d38"},
+	{[]string{"-policy", "spread", "-seed", "5", "-servers", "200", "-trace", "bursty", "-duration", "1", "-load", "1.1"}, "fe04d655158270085ec7b8bb67e124dd31e363209bba99d29eec36501aa1cefa"},
+	{[]string{"-policy", "optimal-region", "-seed", "5", "-servers", "200", "-trace", "bursty", "-duration", "1", "-load", "1.1"}, "8332bd15bb7b52b11aeb777e1d2d80e6da516b6ed5b3bfca17c1ff818a30d5e1"},
 }
 
 func TestCSVGoldenDigests(t *testing.T) {

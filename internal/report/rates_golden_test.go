@@ -19,9 +19,9 @@ import (
 // same calls.
 const (
 	summarySeed1Digest   = "130270bb6cf598a28c5dd43001e515b6dadeaa871337116dddd4dfaa653405b9"
-	fleetSummaryDigest   = "01ea2305188a392383ad3dd3b7d80ddd460d5c87a43cf91c0a70458bf3f1a6c2"
-	fleetFigE4Digest     = "37b7d21e6d3465da3e76b3f08212240e4ae7d8352df90bf55bbf84b5ffdfcfe8"
-	fleetFigE6Digest     = "f9a94970f0dbadd048e8780d569def97fed0d498c556c70ecd6fc2c108f0be4e"
+	fleetSummaryDigest   = "1dd60859221edcae5731e048e673f0a2e6c5429767913222f7d7c6995211c987"
+	fleetFigE4Digest     = "d4a892de2baf63c5dcca2f1287dffa54ace9ef1b7af65c5eaad7c12ba039b067"
+	fleetFigE6Digest     = "66b1b2f020bbcda77e65cc45a3e0ba7d3a478ed9f0562f819f308937a2606469"
 	rateFleetServers     = 20_000
 	rateFleetSeed        = 1
 	rateFleetMinEraCount = 2049 // theilSenExactLimit + 1 in internal/stats

@@ -63,43 +63,43 @@ var figureTitlesWant = map[string]struct {
 // figureDigestsWant maps "<corpus>/<id>/<form>" to the sha256 of the
 // body Figure (form "text") or FigureSVG (form "svg") returns.
 var figureDigestsWant = map[string]string{
-	"fleet3/1/svg":   "62456e0bd9aebaf6849fc5c2828fd23152a9683e26faf56e2ab39fa8610c8426",
-	"fleet3/1/text":  "bdee29115a8c31a14e03ac326e99e5043804004110ccfcdb3183a3f16c78da61",
-	"fleet3/10/svg":  "25615e06d3ca59200fb1d3dee90f7a8d9b58ed1af5ee40429fe9891ea094d020",
-	"fleet3/10/text": "53c89be51d3c2307fb2d95ebb806e9cd008c67114e00cf6b9965ec23752d2180",
-	"fleet3/11/svg":  "d178e62da6c46d9f494cdfe494f8c9f4e68439420222aeaebb4e197dda157967",
-	"fleet3/11/text": "ae5da2f90a53355c566764c448a94698933f7b9bf768498e9aeb9cae2243e7eb",
-	"fleet3/12/svg":  "946cf6d610d3f00105a8e33822ba73eaeadfd763f806e4a19ed027cdbdcfe2df",
-	"fleet3/12/text": "4afee92b1e2dd222968bae6b402f0f904212cc54ae8a4cc31ffa84fc2c60f200",
-	"fleet3/13/text": "d7c1b1bfeffde406549a930ea935096e40aea1f39319a7aefa839f7d80461daf",
-	"fleet3/14/text": "025f1ae3c45dc4b8a6f073d10b43cbbd90d666c1f3ebf9e9515244cc1b59a1ce",
-	"fleet3/15/text": "d577d2362bf3421bd041edc3b0f79dd2c80902b18ff808662fcd3b22afb0a013",
-	"fleet3/16/svg":  "6353629e8fdf3db80d2098a1310d65dfa3af96a297784bf75135a77fe40d8fed",
-	"fleet3/16/text": "271b9ced44ac422cf2ca9619bf2487bc2f99f818acebc6ae78b077a90e944b60",
-	"fleet3/17/text": "bb9fcb57776c9229bc47aec018ff00326a173e74d04f7fc3c1c4c9c8bf526e89",
-	"fleet3/2/svg":   "25f2561849ca2c06881be883b78c2c0993cfa5610188dbbc0d00848b604a847b",
-	"fleet3/2/text":  "2b5be49f78cf7d4afffa4ad693dd6146ffbde0fcf74333a87e07a5ceb7f140d1",
-	"fleet3/3/svg":   "930074e02fe75eafb0a0ded609f14bebe28755c137b7fc3239ff4a413331ce9a",
-	"fleet3/3/text":  "d6f1e2593264ee131d331838e76112683fa240126e41f1e9b3fe5c3114eb3cd8",
-	"fleet3/4/svg":   "ec61af5ecef54b9c9c4d2b8cbf24ac7fd73308e918b98f66bff0ae923c9abf47",
-	"fleet3/4/text":  "44a8c4e7dd4ef434f91e25c77a09e9c8bb1864292f1f783f3677f31f4f1e8b90",
-	"fleet3/5/svg":   "c0bd266f025a838a53b92ffe2b96652789c908ea652dc12ffe3316e02d86b06e",
-	"fleet3/5/text":  "41c0e10800b78cd9ad5e7a38933866bbfa1b08c6df60689f054d926b8191ce9c",
-	"fleet3/6/svg":   "fa8650635612768b42cf2168917a5a28f7d162ba5ae7e5dd7b906cc27a1bed13",
-	"fleet3/6/text":  "78dd803ce44b60c4648eae172a054c70768466610de8dcf27a7891c5945b4d3b",
-	"fleet3/7/svg":   "9dd83dd15fcfb94f7c3b896257395005b2591937e6b1fe5f719842d506b96c98",
-	"fleet3/7/text":  "f5bc3c4f04882d173548e905b9b3b58ea5288614eae8fe2c75b622ff206a93d5",
-	"fleet3/8/svg":   "ab2203b51258ca1c712a16e9614d1b9fb18ffa842fefd21190d6d008db058b9d",
-	"fleet3/8/text":  "bb8678eb8fa03a0b8ad79864f858409f1cc7bc3c56e5d875f0ce0b7a66ca922c",
-	"fleet3/9/svg":   "7a28c51320da238dd03b211307b485eadbd0101dce3a585ec79cac20cb4bc437",
-	"fleet3/9/text":  "ea1ef6ff36c4a5c305e12521c593ce51249361b917d03204c6cfd0a95cd1247d",
-	"fleet3/e1/text": "a87b85310b52d541688d86d55f58974f1fa424a0866d96423ae9cf05b2bfef08",
-	"fleet3/e3/text": "e4278b1ff85de1cd6263bea190e142289f315e8d5462fcabd5d5663b67d25489",
-	"fleet3/e4/text": "eaeffa038beffede44fb916839ddce9e5775371ee38119d97ab686cdb47bbe81",
+	"fleet3/1/svg":   "1f0d2c3f28d3f1687ce182c06c0b857f7d59bb7f34bd1f77bccc749f0a69df8f",
+	"fleet3/1/text":  "9b9203a19180c22481d119a063d2eb120dbb75952797e8f0edbf1ea95c3d5c53",
+	"fleet3/10/svg":  "327091daad604ebd2d58d1ebb058c3bbe5e7cae13315551ea2b1a823db2ab4d5",
+	"fleet3/10/text": "95e81c885af76eff45d4e250061a1dccb4f0803be99b9ed1d2e8bc15f8bb4507",
+	"fleet3/11/svg":  "146321ade44ec159e5fb51d123016490feb2ef48fb5703507a1045fee8b93102",
+	"fleet3/11/text": "b268b3e23753dd24fcc70db013e17e5f4ebeb3ddaef01498058eb8cb90be4b47",
+	"fleet3/12/svg":  "73a0485a1d9d7de9564108e11b05fc29e3651d3723c1b1763690760e1d28ef32",
+	"fleet3/12/text": "7d9bf6f0e39b9e1dd5765312a321120349639f3471418f56cda4daa7293b7da4",
+	"fleet3/13/text": "42ce9db440b25ba9b3771792276a6c9bf4624ab3c7f0e39fa52991d3dd91c368",
+	"fleet3/14/text": "b3f0ab68864ce5649762c460fad8ec5666a723b3f186e02e7d04e850b0436303",
+	"fleet3/15/text": "62ce047f0634dd93f7bd92fe65f9213f05dc12263361b27dab7aa5aeeb2a5474",
+	"fleet3/16/svg":  "6923e531e59b54540a780465f3c6a661461a4b3f73383b8b34d795f423079eec",
+	"fleet3/16/text": "746969ab5ca42bbd1842f98ba41c2db002bf932e89b5f492f8aa457a09b1e4ac",
+	"fleet3/17/text": "2edd386fbeb9509c125250fe57376fb2a673fe5895502d8b96c1868357e64fb9",
+	"fleet3/2/svg":   "4d828c20685e13e8193b5ae2316b80c9260a10f76e3b34461cf83f8cb1ce5cec",
+	"fleet3/2/text":  "ae112e1be306b4a7cc517b4b0d0a6a7ac0cccd74e173220dc8e7c17b51715a72",
+	"fleet3/3/svg":   "e5da42eff424688a899d1b7693a244dd61f0e1ac4fd9fb525aa8b96e98f9ce3b",
+	"fleet3/3/text":  "187a2a5bec34af6a0f31fecf7aa57364b34ad8ab57e138e8b24ebcc30a9ef3dc",
+	"fleet3/4/svg":   "f3fc05e479604bfa1f572161f6979ec746a67ae11708a481188d2e8fa0b17a2b",
+	"fleet3/4/text":  "ade75afb041c62be044897f6211167c56de8fc31e8bd26839c5acd6481144277",
+	"fleet3/5/svg":   "1b0b434954d6f833f2fb165cbf7050fb5e890dcce78f1e7a8f63a7ef70e48d10",
+	"fleet3/5/text":  "0857ea57cf5f9f4db5f4fdc62af21daa5dafa471b5644fdf2472175e5cd105ad",
+	"fleet3/6/svg":   "140d5a8edf984fb704cc844f32ed0dcbb1c5d9b11cdb94016cc9a987a6ec84d5",
+	"fleet3/6/text":  "1acf9233976d666874f860d47c92b69634e9c2b18093a101c6f7007afe1ae026",
+	"fleet3/7/svg":   "00c7ef49f8805dad8de37cde7bd1eceaa3be4f7fffc1561a5125638223be578f",
+	"fleet3/7/text":  "2641cbe6e350986625a205f12c6539a7e1a6aad71c0bdf37e670363900377541",
+	"fleet3/8/svg":   "94fa2289d5590a51e867bcfd7ca1f6151ed38dbd88c36f5cc8ecd3d2d55bc74a",
+	"fleet3/8/text":  "953db31721cd963624eee184776b37911fcc8712378fbe0e59d60daa6378ce7d",
+	"fleet3/9/svg":   "b5c11dd0c5d1370af77e18bf7f0a2bdeb0c710f34a02e96a87a9cf4a521c068d",
+	"fleet3/9/text":  "9570725b01963992e683ded021d358657be8495da00ca79a290255bca6ea2d9f",
+	"fleet3/e1/text": "97fdece0ad323e601f7b241f9a342350aab2497f10a9fc4c37576bcdb6c31f52",
+	"fleet3/e3/text": "546c8a4d6d2d8d7cc77391eadfa782d01f9143d6064308b3fe17e03bb76925a1",
+	"fleet3/e4/text": "0579e651a5e5c266482e937ecf4d93e6d2f8c8ec1598d7fa93e3924990c3501c",
 	"fleet3/e5/text": "ada6d35591f776c1573b3ca52091ff66b4344d8c5a140933e20209fe053bdfae",
-	"fleet3/e6/text": "f9faaecb057a0f1e63ae9ba1ab7507eb0ec1303784a10945df711bcf68bc6b30",
-	"fleet3/e7/text": "da42ddcbe509ef01516581fa5dbd7a25f0dd449545bac795ea010d2ea85369c3",
-	"fleet3/t1/text": "f78b5d82c971f05916b919bb04aa0385ce4b7f516cbab0479b53d90137640d6a",
+	"fleet3/e6/text": "aa80fb58a0dc306831314179ae64a725c12b885b00d7c725aec9b1c59fd7af09",
+	"fleet3/e7/text": "43b3a228e72b6296ac0b902e21bcfb478b0a8774e7c23d13b50e64d8abffde2b",
+	"fleet3/t1/text": "62fea14ab37247f949809952101ec49a6d364d903cf050ff33e84b2fa927751e",
 	"fleet3/t2/text": "74d2ff7863b7bfdbebf75a52997514143e39f8c88f9da2a9cb86345a88844d6f",
 	"seed1/1/svg":    "ea4c9bed42d81482e285b2b612ec3f72db8b5717bdcdb5e1ad1c9c5258650a66",
 	"seed1/1/text":   "100494f3f9e603c5b5865b950f174d236e620eb560f7bef7cdaf56a4c317a604",

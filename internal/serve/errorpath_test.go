@@ -54,8 +54,8 @@ func TestTooSmallScenarioIs422(t *testing.T) {
 		detail string // substring the error body must carry
 	}{
 		{"/api/v1/report?servers=64", http.StatusUnprocessableEntity, "analysis: no year with ≥ 30 servers"},
-		{"/api/v1/summary?servers=16", http.StatusUnprocessableEntity, "analysis: era 2013-2016 has only 1 servers"},
-		// No 2016 server among the first 30 of the seed-1 fleet.
+		{"/api/v1/summary?seed=6&servers=16", http.StatusUnprocessableEntity, "analysis: era 2013-2016 has only 1 servers"},
+		// No 2016 server among the first 147 of the seed-1 fleet.
 		{"/api/v1/figures/1?servers=16", http.StatusUnprocessableEntity, "report: no 2016 sample server for Fig. 1"},
 		{"/api/v1/figures/1?servers=16&format=svg", http.StatusUnprocessableEntity, "report: no 2016 sample server for Fig. 1"},
 		// One valid server has no correlations.
@@ -64,12 +64,12 @@ func TestTooSmallScenarioIs422(t *testing.T) {
 		{"/api/v1/summary?servers=1", http.StatusUnprocessableEntity, "analysis: correlations need at least 2 servers"},
 		{"/api/v1/metrics/correlations?servers=1", http.StatusUnprocessableEntity, "analysis: correlations need at least 2 servers"},
 		// A metric with no variance leaves a coefficient undefined (NaN).
-		{"/api/v1/metrics/correlations?seed=5&servers=2", http.StatusUnprocessableEntity, "a metric has no variance"},
+		{"/api/v1/metrics/correlations?seed=3&servers=2", http.StatusUnprocessableEntity, "a metric has no variance"},
 		// Every 2013-2016 server shares one hardware year: no rate.
-		{"/api/v1/summary?seed=7&servers=14", http.StatusUnprocessableEntity, "analysis: era 2013-2016 servers all date from 2013"},
-		{"/api/v1/figures/e6?seed=7&servers=14", http.StatusUnprocessableEntity, "analysis: era 2013-2016 servers all date from 2013"},
-		{"/api/v1/summary?servers=128", http.StatusOK, ""},
-		{"/api/v1/metrics/ep?servers=128", http.StatusOK, ""},
+		{"/api/v1/summary?seed=6&servers=24", http.StatusUnprocessableEntity, "analysis: era 2013-2016 servers all date from 2013"},
+		{"/api/v1/figures/e6?seed=6&servers=24", http.StatusUnprocessableEntity, "analysis: era 2013-2016 servers all date from 2013"},
+		{"/api/v1/summary?servers=160", http.StatusOK, ""},
+		{"/api/v1/metrics/ep?servers=160", http.StatusOK, ""},
 	} {
 		w := get(t, s, tc.target, nil)
 		if w.Code != tc.status {

@@ -263,15 +263,15 @@ func TestKeyedEndpoints(t *testing.T) {
 	}
 
 	// A fleet selector serves the generated fleet.
-	w := get(t, s, "/api/v1/summary?servers=64", nil)
+	w := get(t, s, "/api/v1/summary?servers=160", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("keyed summary: %d %s", w.Code, w.Body.String())
 	}
 	if w.Body.String() == plain.Body.String() {
 		t.Fatal("fleet summary equals the full-corpus summary")
 	}
-	snap, err := s.Workspace().Get(Key{Seed: testSeed, Servers: 64})
-	if err != nil || snap.Repo.Len() != 64 {
+	snap, err := s.Workspace().Get(Key{Seed: testSeed, Servers: 160})
+	if err != nil || snap.Repo.Len() != 160 {
 		t.Fatalf("workspace scenario: %v, %d servers", err, snap.Repo.Len())
 	}
 
@@ -280,19 +280,19 @@ func TestKeyedEndpoints(t *testing.T) {
 	checkExposition(t, fams)
 	servers := metrics.Find(fams, "spec_corpus_servers")
 	if v, ok := servers.Value(
-		metrics.Label{Name: "corpus", Value: "seed=1/servers=64"},
+		metrics.Label{Name: "corpus", Value: "seed=1/servers=160"},
 		metrics.Label{Name: "subset", Value: "all"},
-	); !ok || v != 64 {
-		t.Fatalf("fleet corpus gauge = %v/%v, want 64", v, ok)
+	); !ok || v != 160 {
+		t.Fatalf("fleet corpus gauge = %v/%v, want 160", v, ok)
 	}
 
 	// Keyed responses survive eviction byte-identically: same payload,
 	// same ETag, so clients never observe the LRU.
 	etag := w.Header().Get("ETag")
-	if !s.Workspace().Evict(Key{Seed: testSeed, Servers: 64}) {
+	if !s.Workspace().Evict(Key{Seed: testSeed, Servers: 160}) {
 		t.Fatal("scenario not resident")
 	}
-	again := get(t, s, "/api/v1/summary?servers=64", nil)
+	again := get(t, s, "/api/v1/summary?servers=160", nil)
 	if again.Code != http.StatusOK || again.Body.String() != w.Body.String() || again.Header().Get("ETag") != etag {
 		t.Fatalf("reloaded scenario differs: status %d, etag %q vs %q", again.Code, again.Header().Get("ETag"), etag)
 	}
@@ -329,8 +329,8 @@ func TestScrapeRaceSafety(t *testing.T) {
 	// addresses different scenarios over time. Fully-specified keys are
 	// the byte-stability contract.
 	keyedPaths := []string{
-		"/api/v1/summary?seed=1&servers=48",
-		"/api/v1/summary?seed=1&servers=64",
+		"/api/v1/summary?seed=4&servers=48",
+		"/api/v1/summary?seed=4&servers=64",
 		"/api/v1/figures/3?seed=2&servers=96",
 		"/api/v1/metrics/ep?seed=2&servers=48",
 	}
