@@ -192,7 +192,7 @@ func (oc optConfig) buildObjective(metric optimize.Metric) (optimize.Objective, 
 			base = oc.tariff.USDPerKWh
 		}
 		var err error
-		shape, err = buildShape(oc.intensity, oc.intensityStep, base)
+		shape, err = cli.Intensity(oc.intensity, oc.intensityStep, base)
 		if err != nil {
 			return optimize.Objective{}, nil, err
 		}
@@ -213,25 +213,6 @@ func (oc optConfig) buildObjective(metric optimize.Metric) (optimize.Objective, 
 		}
 	}
 	return obj, shape, nil
-}
-
-// buildShape resolves the -intensity argument: a generator name whose
-// mean is the matching static rate, or a CSV profile file carrying its
-// own levels.
-func buildShape(arg string, stepSec, base float64) (*trace.IntensityProfile, error) {
-	switch arg {
-	case "diurnal":
-		return trace.DiurnalIntensity(trace.IntensityConfig{StepSeconds: stepSec, BaseKgPerKWh: base})
-	case "duck":
-		return trace.DuckCurveIntensity(trace.IntensityConfig{StepSeconds: stepSec, BaseKgPerKWh: base})
-	default:
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadIntensityCSV(f, stepSec)
-	}
 }
 
 // parseRegions parses "name:price:carbon:pue,..." into siting regions.

@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// rate (a CSV profile carries its own levels).
 	var prof *trace.IntensityProfile
 	if *intens != "" {
-		prof, err = buildIntensity(*intens, *intStep, *carbon)
+		prof, err = cli.Intensity(*intens, *intStep, *carbon)
 		if err != nil {
 			return err
 		}
@@ -216,25 +216,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	default:
 		return fmt.Errorf("unknown format %q", *format)
-	}
-}
-
-// buildIntensity resolves the -intensity argument: a generator name
-// (diurnal, duck) whose mean is the -carbon rate when one is set, or a
-// CSV profile file carrying its own rates.
-func buildIntensity(arg string, stepSec, baseKgPerKWh float64) (*trace.IntensityProfile, error) {
-	switch arg {
-	case "diurnal":
-		return trace.DiurnalIntensity(trace.IntensityConfig{StepSeconds: stepSec, BaseKgPerKWh: baseKgPerKWh})
-	case "duck":
-		return trace.DuckCurveIntensity(trace.IntensityConfig{StepSeconds: stepSec, BaseKgPerKWh: baseKgPerKWh})
-	default:
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadIntensityCSV(f, stepSec)
 	}
 }
 

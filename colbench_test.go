@@ -118,6 +118,31 @@ func BenchmarkColumnarLoadV2_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_00
 func BenchmarkColumnarLoadV2_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000) }
 func BenchmarkColumnarLoadV2_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000) }
 
+// ---- cold derived-metric build ----
+
+// BenchmarkColumnarDerive100k times the derived metric layer alone:
+// each iteration decodes a fresh 100k-server store outside the timer,
+// then Precompute derives every metric column from its raw columns.
+func BenchmarkColumnarDerive100k(b *testing.B) {
+	const n = 100_000
+	var buf bytes.Buffer
+	if err := repro.WriteColumns(&buf, colStore(b, n)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cs, err := repro.ReadColumnsBytes(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rp := repro.NewColumnRepository(cs)
+		b.StartTimer()
+		rp.Precompute()
+	}
+}
+
 // ---- full analysis suite + text report ----
 
 var colReportLen int

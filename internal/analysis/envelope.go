@@ -49,10 +49,8 @@ type envelopePartial struct {
 }
 
 // envelope reduces the normalized power (normPower=true) or normalized
-// efficiency series of every standard-grid curve straight from the
-// flattened level columns — the per-row values are exactly what
-// Curve.NormalizedPower / Curve.NormalizedEE return, so the band is
-// bit-identical to the result-walking reduction.
+// efficiency series of every standard-grid curve, read through each
+// row's core.Curve over the store's level columns.
 func envelope(rp *dataset.Repository, normPower bool) Envelope {
 	cs := rp.Columns()
 	env := Envelope{
@@ -67,10 +65,6 @@ func envelope(rp *dataset.Repository, normPower bool) Envelope {
 		env.Upper[i] = math.Inf(-1)
 	}
 
-	off := cs.LevelOffsets()
-	levelPower := cs.LevelPowerCol()
-	levelEE := cs.LevelEECol()
-	idleWatts := cs.IdleWattsCol()
 	epCol := cs.EPCol()
 	curveOK := cs.CurveOKCol()
 	ids := cs.IDCol()
@@ -91,32 +85,16 @@ func envelope(rp *dataset.Repository, normPower bool) Envelope {
 			p.lower[i] = math.Inf(1)
 			p.upper[i] = math.Inf(-1)
 		}
-		vals := make([]float64, grid)
+		vals := make([]float64, 0, grid)
 		for r := chunks[ci].Lo; r < chunks[ci].Hi; r++ {
 			if !curveOK[r] {
-				// Identical to the MustCurve panic on the result path.
-				cs.Result(r).MustCurve()
+				panic(cs.CurveErr(r)) // as Result.MustCurve does
 			}
-			lo, hi := off[r], off[r+1]
-			if int(hi-lo)+1 == grid {
+			if c := cs.Curve(r); c.NumLevels() == grid {
 				if normPower {
-					peak := levelPower[hi-1]
-					vals[0] = idleWatts[r] / peak
-					for j := lo; j < hi; j++ {
-						vals[int(j-lo)+1] = levelPower[j] / peak
-					}
+					vals = c.AppendNormalizedPower(vals[:0])
 				} else {
-					full := levelEE[hi-1]
-					if full <= 0 {
-						for j := range vals {
-							vals[j] = 0
-						}
-					} else {
-						vals[0] = 0
-						for j := lo; j < hi; j++ {
-							vals[int(j-lo)+1] = levelEE[j] / full
-						}
-					}
+					vals = c.AppendNormalizedEE(vals[:0])
 				}
 				for i, v := range vals {
 					p.lower[i] = math.Min(p.lower[i], v)

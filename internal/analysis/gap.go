@@ -26,17 +26,14 @@ type GapRow struct {
 	PeakRegionGap float64
 }
 
-// ProportionalityGapByYear computes the per-level gap trend. The
-// per-row gap p_norm(u) − u comes straight from the flattened level
-// columns — exactly Curve.ProportionalityGap on a standard-grid curve.
+// ProportionalityGapByYear computes the per-level gap trend from each
+// standard-grid row's Curve.ProportionalityGap.
 func ProportionalityGapByYear(rp *dataset.Repository) ([]GapRow, error) {
 	cs := rp.Columns()
 	byYear, years := groupRowsByInt(cs.HWYearCol())
-	off := cs.LevelOffsets()
-	levelPower, levelTarget := cs.LevelPowerCol(), cs.LevelTargetCol()
-	idleWatts := cs.IdleWattsCol()
 	curveOK := cs.CurveOKCol()
 	grid := len(core.StandardUtilizations)
+	gap := make([]float64, 0, grid)
 	out := make([]GapRow, 0, len(years))
 	for _, y := range years {
 		row := GapRow{Year: y, MeanGap: make([]float64, grid)}
@@ -44,14 +41,13 @@ func ProportionalityGapByYear(rp *dataset.Repository) ([]GapRow, error) {
 			if !curveOK[r] {
 				return nil, fmt.Errorf("analysis: gap: %w", cs.CurveErr(int(r)))
 			}
-			lo, hi := off[r], off[r+1]
-			if int(hi-lo)+1 != grid {
+			c := cs.Curve(int(r))
+			if c.NumLevels() != grid {
 				continue
 			}
-			peak := levelPower[hi-1]
-			row.MeanGap[0] += idleWatts[r] / peak
-			for j := lo; j < hi; j++ {
-				row.MeanGap[int(j-lo)+1] += levelPower[j]/peak - levelTarget[j]
+			gap = c.AppendProportionalityGap(gap[:0])
+			for i, g := range gap {
+				row.MeanGap[i] += g
 			}
 			row.N++
 		}

@@ -1,6 +1,7 @@
 // Package cli centralizes the conventions shared by every cmd binary:
 // one usage layout, a uniform -version flag, exit-0 -h handling, and
-// the -in/-seed corpus loading of the analysis binaries.
+// the -in/-seed corpus loading of the analysis binaries, and the
+// -intensity profile argument of specsim and specplace.
 // Before this helper each binary hand-rolled its flag set and their
 // usage output diverged; now `specX -h` and `specX -version` look and
 // behave the same across the suite.
@@ -11,10 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 
 	"repro/internal/dataset"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // Version is the repository-wide version string every binary reports.
@@ -59,4 +62,23 @@ func LoadCorpus(path string, seed int64) (*dataset.Repository, error) {
 		return synth.NewRepository(synth.Config{Seed: seed})
 	}
 	return dataset.ReadPath(path)
+}
+
+// Intensity resolves an -intensity argument: a generator name (diurnal,
+// duck) whose profile averages mean, or the path of a CSV profile that
+// carries its own levels. stepSec is the profile's step in seconds.
+func Intensity(arg string, stepSec, mean float64) (*trace.IntensityProfile, error) {
+	switch arg {
+	case "diurnal":
+		return trace.DiurnalIntensity(trace.IntensityConfig{StepSeconds: stepSec, BaseKgPerKWh: mean})
+	case "duck":
+		return trace.DuckCurveIntensity(trace.IntensityConfig{StepSeconds: stepSec, BaseKgPerKWh: mean})
+	default:
+		f, err := os.Open(arg)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return trace.ReadIntensityCSV(f, stepSec)
+	}
 }

@@ -6,7 +6,13 @@
 // utilization spot(s) where it occurs, intersections with the ideal
 // proportionality curve, and high-efficiency working regions.
 //
-// A Curve is immutable after construction; all accessors return copies.
+// A Curve is active-idle power plus per-level utilization, throughput
+// and power columns. NewCurve copies its points into fresh columns;
+// LevelCurve wraps one row of the dataset column store's level columns
+// without copying, so a single result and a million-row corpus read
+// their metrics from the same accessors. Both forms validate through
+// CheckLevels. A Curve is immutable; accessors that return slices
+// return copies, and each Append form appends to the caller's buffer.
 package core
 
 import (
@@ -35,7 +41,7 @@ func (p Point) EE() float64 {
 	return p.OpsPerSec / p.PowerWatts
 }
 
-// Validation errors returned by NewCurve.
+// Validation errors returned by NewCurve and CheckLevels.
 var (
 	ErrTooFewPoints      = errors.New("core: curve needs at least two points")
 	ErrNoIdlePoint       = errors.New("core: first point must be active idle (utilization 0)")
@@ -51,7 +57,10 @@ var (
 // SPECpower curves have 11 points (active idle plus 10% steps), but any
 // strictly increasing grid that starts at 0 and ends at 1 is accepted.
 type Curve struct {
-	points []Point
+	idleWatts float64
+	// util, ops and watts are the measured levels after active idle,
+	// index-aligned: level k is the curve's point k+1.
+	util, ops, watts []float64
 }
 
 // NewCurve validates and copies points into an immutable Curve.
@@ -62,25 +71,61 @@ func NewCurve(points []Point) (*Curve, error) {
 	if points[0].Utilization != 0 {
 		return nil, ErrNoIdlePoint
 	}
-	if points[len(points)-1].Utilization != 1 {
-		return nil, ErrNoPeakPoint
-	}
 	if points[0].OpsPerSec != 0 {
 		return nil, ErrIdleHasThroughput
 	}
-	for i, p := range points {
-		if i > 0 && p.Utilization <= points[i-1].Utilization {
-			return nil, fmt.Errorf("%w: point %d (%v after %v)",
-				ErrUnorderedPoints, i, p.Utilization, points[i-1].Utilization)
-		}
-		if p.PowerWatts <= 0 {
-			return nil, fmt.Errorf("%w: point %d", ErrNonPositivePower, i)
-		}
-		if p.OpsPerSec < 0 {
-			return nil, fmt.Errorf("%w: point %d", ErrNegativeOps, i)
-		}
+	n := len(points) - 1
+	cols := make([]float64, 3*n)
+	c := LevelCurve(points[0].PowerWatts, cols[:n:n], cols[n:2*n:2*n], cols[2*n:])
+	for k, p := range points[1:] {
+		c.util[k], c.ops[k], c.watts[k] = p.Utilization, p.OpsPerSec, p.PowerWatts
 	}
-	return &Curve{points: append([]Point(nil), points...)}, nil
+	if err := CheckLevels(c.idleWatts, c.util, c.ops, c.watts); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// CheckLevels validates a curve given as active-idle power plus its
+// measured levels' utilization, throughput and power, index-aligned and
+// of equal length: at least one level, utilizations strictly
+// increasing from the idle point's 0 and ending at 1, positive power
+// at every point and non-negative throughput. It returns the error
+// NewCurve reports for the same points, or nil.
+func CheckLevels(idleWatts float64, util, ops, watts []float64) error {
+	if len(util) < 1 {
+		return ErrTooFewPoints
+	}
+	if util[len(util)-1] != 1 {
+		return ErrNoPeakPoint
+	}
+	if idleWatts <= 0 {
+		return fmt.Errorf("%w: point 0", ErrNonPositivePower)
+	}
+	prev := 0.0
+	for k, u := range util {
+		// Level k is point k+1; the idle point is point 0.
+		if u <= prev {
+			return fmt.Errorf("%w: point %d (%v after %v)", ErrUnorderedPoints, k+1, u, prev)
+		}
+		if watts[k] <= 0 {
+			return fmt.Errorf("%w: point %d", ErrNonPositivePower, k+1)
+		}
+		if ops[k] < 0 {
+			return fmt.Errorf("%w: point %d", ErrNegativeOps, k+1)
+		}
+		prev = u
+	}
+	return nil
+}
+
+// LevelCurve wraps active-idle power and the measured levels'
+// utilization, throughput and power in a Curve without copying the
+// slices. They must pass CheckLevels and must not change while the
+// Curve is in use. A wrapper that does not outlive its caller's frame
+// stays on the stack once LevelCurve is inlined.
+func LevelCurve(idleWatts float64, util, ops, watts []float64) *Curve {
+	return &Curve{idleWatts: idleWatts, util: util, ops: ops, watts: watts}
 }
 
 // StandardUtilizations are the eleven SPECpower target loads in ascending
@@ -107,19 +152,35 @@ func NewStandardCurve(idleWatts float64, watts, ops []float64) (*Curve, error) {
 
 // Points returns a copy of the curve's points.
 func (c *Curve) Points() []Point {
-	return append([]Point(nil), c.points...)
+	out := make([]Point, 0, c.NumLevels())
+	out = append(out, Point{PowerWatts: c.idleWatts})
+	for k, u := range c.util {
+		out = append(out, Point{Utilization: u, OpsPerSec: c.ops[k], PowerWatts: c.watts[k]})
+	}
+	return out
 }
 
 // NumLevels returns the number of points including active idle.
-func (c *Curve) NumLevels() int { return len(c.points) }
+func (c *Curve) NumLevels() int { return len(c.util) + 1 }
 
 // PeakPower returns the power at 100% utilization.
-func (c *Curve) PeakPower() float64 {
-	return c.points[len(c.points)-1].PowerWatts
-}
+func (c *Curve) PeakPower() float64 { return c.watts[len(c.watts)-1] }
 
 // IdlePower returns the active-idle power.
-func (c *Curve) IdlePower() float64 { return c.points[0].PowerWatts }
+func (c *Curve) IdlePower() float64 { return c.idleWatts }
+
+// levelEE returns level k's energy efficiency (Point.EE).
+func (c *Curve) levelEE(k int) float64 {
+	return Point{OpsPerSec: c.ops[k], PowerWatts: c.watts[k]}.EE()
+}
+
+// fullEE returns the energy efficiency at 100% utilization.
+func (c *Curve) fullEE() float64 { return c.levelEE(len(c.util) - 1) }
+
+// utilizations returns every point's utilization, active idle first.
+func (c *Curve) utilizations() []float64 {
+	return append(append(make([]float64, 0, c.NumLevels()), 0), c.util...)
+}
 
 // IdleFraction returns idle power normalized to power at 100%
 // utilization — the paper's "idle power percentage" and Hsu & Poole's
@@ -137,12 +198,18 @@ func (c *Curve) DynamicRange() float64 {
 // NormalizedPower returns the power at each point divided by the power
 // at 100% utilization, in curve order.
 func (c *Curve) NormalizedPower() []float64 {
+	return c.AppendNormalizedPower(make([]float64, 0, c.NumLevels()))
+}
+
+// AppendNormalizedPower appends NormalizedPower's values to dst and
+// returns the extended slice.
+func (c *Curve) AppendNormalizedPower(dst []float64) []float64 {
 	peak := c.PeakPower()
-	out := make([]float64, len(c.points))
-	for i, p := range c.points {
-		out[i] = p.PowerWatts / peak
+	dst = append(dst, c.idleWatts/peak)
+	for _, w := range c.watts {
+		dst = append(dst, w/peak)
 	}
-	return out
+	return dst
 }
 
 // PowerAt returns the normalized power at utilization u in [0, 1],
@@ -152,25 +219,29 @@ func (c *Curve) PowerAt(u float64) (float64, error) {
 	if !(u >= 0 && u <= 1) {
 		return 0, fmt.Errorf("core: utilization %v outside [0, 1]", u)
 	}
-	norm := c.NormalizedPower()
-	for i := 1; i < len(c.points); i++ {
-		lo, hi := c.points[i-1].Utilization, c.points[i].Utilization
+	peak := c.PeakPower()
+	lo, lastNorm := 0.0, c.idleWatts/peak
+	for k, hi := range c.util {
+		norm := c.watts[k] / peak
 		if u <= hi {
 			frac := (u - lo) / (hi - lo)
-			return norm[i-1] + frac*(norm[i]-norm[i-1]), nil
+			return lastNorm + frac*(norm-lastNorm), nil
 		}
+		lo, lastNorm = hi, norm
 	}
-	return norm[len(norm)-1], nil
+	return lastNorm, nil
 }
 
 // normalizedArea returns the trapezoid area under the normalized
 // power-utilization curve over [0, 1].
 func (c *Curve) normalizedArea() float64 {
-	norm := c.NormalizedPower()
+	peak := c.PeakPower()
 	var area float64
-	for i := 1; i < len(c.points); i++ {
-		du := c.points[i].Utilization - c.points[i-1].Utilization
-		area += du * (norm[i] + norm[i-1]) / 2
+	lo, lastNorm := 0.0, c.idleWatts/peak
+	for k, hi := range c.util {
+		norm := c.watts[k] / peak
+		area += (hi - lo) * (norm + lastNorm) / 2
+		lo, lastNorm = hi, norm
 	}
 	return area
 }
@@ -198,17 +269,19 @@ func (c *Curve) EP() float64 {
 // thousandths; the ablation bench quantifies the difference over the
 // corpus.
 func (c *Curve) EPSimpson() float64 {
-	if len(c.points) != 11 {
+	if len(c.util) != 10 {
 		return c.EP()
 	}
-	norm := c.NormalizedPower()
+	watts := c.watts[:10]
+	peak := watts[9]
 	h := 0.1
-	sum := norm[0] + norm[10]
+	sum := c.idleWatts/peak + watts[9]/peak
 	for i := 1; i < 10; i++ {
+		norm := watts[i-1] / peak
 		if i%2 == 1 {
-			sum += 4 * norm[i]
+			sum += 4 * norm
 		} else {
-			sum += 2 * norm[i]
+			sum += 2 * norm
 		}
 	}
 	area := h / 3 * sum
@@ -228,36 +301,50 @@ func (c *Curve) LinearDeviation() float64 {
 // far the server's normalized power sits above the ideal line at that
 // utilization. The slice is in curve order.
 func (c *Curve) ProportionalityGap() []float64 {
-	norm := c.NormalizedPower()
-	out := make([]float64, len(c.points))
-	for i, p := range c.points {
-		out[i] = norm[i] - p.Utilization
+	return c.AppendProportionalityGap(make([]float64, 0, c.NumLevels()))
+}
+
+// AppendProportionalityGap appends ProportionalityGap's values to dst
+// and returns the extended slice.
+func (c *Curve) AppendProportionalityGap(dst []float64) []float64 {
+	peak := c.PeakPower()
+	dst = append(dst, c.idleWatts/peak) // the idle point's utilization is 0
+	for k, u := range c.util {
+		dst = append(dst, c.watts[k]/peak-u)
 	}
-	return out
+	return dst
 }
 
 // EEValues returns the energy efficiency (ops/watt) at each measured
 // point in curve order. Active idle has zero efficiency by definition.
 func (c *Curve) EEValues() []float64 {
-	out := make([]float64, len(c.points))
-	for i, p := range c.points {
-		out[i] = p.EE()
+	out := make([]float64, c.NumLevels())
+	for k := range c.util {
+		out[k+1] = c.levelEE(k)
 	}
 	return out
 }
 
 // NormalizedEE returns each point's efficiency divided by the efficiency
 // at 100% utilization — the y-axis of the paper's almond chart (Fig. 11).
+// Every value is zero when full-load efficiency is not positive.
 func (c *Curve) NormalizedEE() []float64 {
-	full := c.points[len(c.points)-1].EE()
-	out := make([]float64, len(c.points))
-	if full <= 0 {
-		return out
+	return c.AppendNormalizedEE(make([]float64, 0, c.NumLevels()))
+}
+
+// AppendNormalizedEE appends NormalizedEE's values to dst and returns
+// the extended slice.
+func (c *Curve) AppendNormalizedEE(dst []float64) []float64 {
+	full := c.fullEE()
+	dst = append(dst, 0) // active idle
+	for k := range c.util {
+		if full <= 0 {
+			dst = append(dst, 0)
+		} else {
+			dst = append(dst, c.levelEE(k)/full)
+		}
 	}
-	for i, p := range c.points {
-		out[i] = p.EE() / full
-	}
-	return out
+	return dst
 }
 
 // OverallEE returns the server's overall performance-to-power ratio —
@@ -265,9 +352,10 @@ func (c *Curve) NormalizedEE() []float64 {
 // Σ power across all eleven intervals including active idle.
 func (c *Curve) OverallEE() float64 {
 	var ops, watts float64
-	for _, p := range c.points {
-		ops += p.OpsPerSec
-		watts += p.PowerWatts
+	watts += c.idleWatts
+	for k := range c.util {
+		ops += c.ops[k]
+		watts += c.watts[k]
 	}
 	if watts <= 0 {
 		return 0
@@ -275,28 +363,40 @@ func (c *Curve) OverallEE() float64 {
 	return ops / watts
 }
 
-// PeakEETolerance is the relative tolerance under which two levels'
+// peakEETolerance is the relative tolerance under which two levels'
 // efficiencies count as tied for the peak (the dataset contains a 2011
-// server whose 80% and 90% levels tie exactly). Exported so the
-// columnar metric kernel in internal/dataset applies the identical
-// tie rule.
-const PeakEETolerance = 1e-9
+// server whose 80% and 90% levels tie exactly).
+const peakEETolerance = 1e-9
+
+// peakEE returns the greatest energy efficiency across the measured
+// levels.
+func (c *Curve) peakEE() float64 {
+	var value float64
+	for k := range c.util {
+		if ee := c.levelEE(k); ee > value {
+			value = ee
+		}
+	}
+	return value
+}
 
 // PeakEE returns the greatest energy efficiency across all measured
 // levels and every utilization at which it occurs (ties included,
 // ascending). Active idle never qualifies.
 func (c *Curve) PeakEE() (value float64, utilizations []float64) {
-	for _, p := range c.points[1:] {
-		if ee := p.EE(); ee > value {
-			value = ee
+	return c.AppendPeakEE(nil)
+}
+
+// AppendPeakEE is PeakEE appending the peak's utilizations to dst.
+func (c *Curve) AppendPeakEE(dst []float64) (value float64, utilizations []float64) {
+	value = c.peakEE()
+	thresh := value * (1 - peakEETolerance)
+	for k, u := range c.util {
+		if c.levelEE(k) >= thresh {
+			dst = append(dst, u)
 		}
 	}
-	for _, p := range c.points[1:] {
-		if ee := p.EE(); ee >= value*(1-PeakEETolerance) {
-			utilizations = append(utilizations, p.Utilization)
-		}
-	}
-	return value, utilizations
+	return value, dst
 }
 
 // PeakEEUtilization returns the lowest utilization at which the curve
@@ -319,12 +419,11 @@ func (c *Curve) PeakEEOffset() float64 {
 // PeakOverFullRatio returns peak efficiency divided by the efficiency at
 // 100% utilization (≥ 1 by construction).
 func (c *Curve) PeakOverFullRatio() float64 {
-	full := c.points[len(c.points)-1].EE()
+	full := c.fullEE()
 	if full <= 0 {
 		return 0
 	}
-	peak, _ := c.PeakEE()
-	return peak / full
+	return c.peakEE() / full
 }
 
 // IdealIntersections returns the utilizations in the open interval
@@ -335,10 +434,7 @@ func (c *Curve) PeakOverFullRatio() float64 {
 // ideal line by construction) is excluded.
 func (c *Curve) IdealIntersections() []float64 {
 	gap := c.ProportionalityGap()
-	us := make([]float64, len(c.points))
-	for i, p := range c.points {
-		us[i] = p.Utilization
-	}
+	us := c.utilizations()
 	var out []float64
 	for i := 1; i < len(gap); i++ {
 		g0, g1 := gap[i-1], gap[i]
@@ -389,10 +485,7 @@ func (iv Interval) Contains(u float64) bool { return u >= iv.Lo && u <= iv.Hi }
 // widest such region.
 func (c *Curve) HighEfficiencyRegions(threshold float64) []Interval {
 	ee := c.NormalizedEE()
-	us := make([]float64, len(c.points))
-	for i, p := range c.points {
-		us[i] = p.Utilization
-	}
+	us := c.utilizations()
 	var regions []Interval
 	inside := false
 	var start float64
@@ -443,13 +536,9 @@ func (c *Curve) WidestHighEfficiencyRegion(threshold float64) (Interval, bool) {
 // given peak power in watts. Useful for plotting against the measured
 // curve.
 func (c *Curve) IdealCurve(peakWatts float64) []Point {
-	out := make([]Point, len(c.points))
-	for i, p := range c.points {
-		out[i] = Point{
-			Utilization: p.Utilization,
-			OpsPerSec:   p.OpsPerSec,
-			PowerWatts:  math.Max(peakWatts*p.Utilization, 1e-9),
-		}
+	out := c.Points()
+	for i := range out {
+		out[i].PowerWatts = math.Max(peakWatts*out[i].Utilization, 1e-9)
 	}
 	return out
 }

@@ -632,3 +632,25 @@ func TestIdealIntersectionsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarAccessorsDoNotAllocate pins that the scalar accessors read
+// the curve's columns in place: none builds a normalized-power slice.
+func TestScalarAccessorsDoNotAllocate(t *testing.T) {
+	c := linearCurve(t, 0.3, 200, 1e6)
+	var sink float64
+	for _, a := range []struct {
+		name string
+		call func()
+	}{
+		{"EP", func() { sink = c.EP() }},
+		{"LinearDeviation", func() { sink = c.LinearDeviation() }},
+		{"PowerAt", func() { sink, _ = c.PowerAt(0.35) }},
+		{"PeakOverFullRatio", func() { sink = c.PeakOverFullRatio() }},
+		{"EPSimpson", func() { sink = c.EPSimpson() }},
+	} {
+		if n := testing.AllocsPerRun(100, a.call); n != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", a.name, n)
+		}
+	}
+	_ = sink
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/microarch"
 	"repro/internal/par"
 )
@@ -19,11 +20,11 @@ import (
 //
 // A ColumnStore is immutable after construction. The raw columns are
 // fixed at build time; the derived metric layer (EP, overall EE, peak
-// EE and its spots, idle fraction, dynamic range, per-level EE,
-// compliance flags) is computed once on first use and published
-// atomically, so concurrent readers are safe. All *Col accessors return
-// the backing arrays without copying: callers must treat them as
-// read-only.
+// EE and its spots, idle fraction, dynamic range, compliance flags) is
+// computed once on first use, by core.Curve over each row's level
+// columns, and published atomically, so concurrent readers are safe.
+// All *Col accessors return the backing arrays without copying, and
+// Curve wraps them: callers must treat them as read-only.
 type ColumnStore struct {
 	n int
 
@@ -63,8 +64,8 @@ type ColumnStore struct {
 }
 
 // derivedColumns is the metric layer computed from the raw columns: the
-// exact scalars Result's memoized bundle holds, plus flattened per-level
-// efficiency and peak-spot arrays, plus validity flags.
+// scalars Result's memoized bundle holds, plus a flattened peak-spot
+// array, plus validity flags.
 type derivedColumns struct {
 	eps          []float64
 	ees          []float64
@@ -73,10 +74,6 @@ type derivedColumns struct {
 	idleFracs    []float64
 	dynRanges    []float64
 	peakOverFull []float64
-	linearDevs   []float64
-
-	// levelEE is ops/watt per flattened level, aligned with levelOff.
-	levelEE []float64
 
 	// Peak-efficiency spots (ties included, ascending): row i's spots
 	// occupy [spotOff[i], spotOff[i+1]).
@@ -106,10 +103,6 @@ func (cs *ColumnStore) ChipsCol() []int32                 { return cs.chips }
 func (cs *ColumnStore) CoresPerChipCol() []int32          { return cs.coresPerChip }
 func (cs *ColumnStore) CodenameCol() []microarch.Codename { return cs.codenames }
 func (cs *ColumnStore) MemoryGBCol() []float64            { return cs.memoryGB }
-func (cs *ColumnStore) IdleWattsCol() []float64           { return cs.idleWatts }
-func (cs *ColumnStore) LevelOffsets() []int32             { return cs.levelOff }
-func (cs *ColumnStore) LevelTargetCol() []float64         { return cs.levelTarget }
-func (cs *ColumnStore) LevelPowerCol() []float64          { return cs.levelPower }
 
 // Derived column accessors. Each builds the metric layer on first use.
 
@@ -120,8 +113,6 @@ func (cs *ColumnStore) PeakEEUtilCol() []float64   { return cs.derivedCols().pea
 func (cs *ColumnStore) IdleFractionCol() []float64 { return cs.derivedCols().idleFracs }
 func (cs *ColumnStore) DynamicRangeCol() []float64 { return cs.derivedCols().dynRanges }
 func (cs *ColumnStore) PeakOverFullCol() []float64 { return cs.derivedCols().peakOverFull }
-func (cs *ColumnStore) LinearDevCol() []float64    { return cs.derivedCols().linearDevs }
-func (cs *ColumnStore) LevelEECol() []float64      { return cs.derivedCols().levelEE }
 func (cs *ColumnStore) PeakSpotOffsets() []int32   { return cs.derivedCols().spotOff }
 func (cs *ColumnStore) PeakSpotCol() []float64     { return cs.derivedCols().spots }
 func (cs *ColumnStore) CurveOKCol() []bool         { return cs.derivedCols().curveOK }
@@ -193,8 +184,8 @@ func (cs *ColumnStore) Materialize() []*Result {
 	return par.Map(cs.n, cs.Result)
 }
 
-// derivedCols returns the metric layer, running the columnar kernel
-// (derive.go) over the raw columns on first use. Concurrent first
+// derivedCols returns the metric layer, deriving it (derive.go) from
+// the raw columns on first use. Concurrent first
 // callers are serialized; the winner publishes atomically.
 func (cs *ColumnStore) derivedCols() *derivedColumns {
 	if d := cs.derived.Load(); d != nil {
@@ -205,15 +196,15 @@ func (cs *ColumnStore) derivedCols() *derivedColumns {
 	if d := cs.derived.Load(); d != nil {
 		return d
 	}
-	d := newDerivedColumns(cs.n, cs.Levels())
-	cs.fillDerivedColumnar(d)
+	d := newDerivedColumns(cs.n)
+	cs.fillDerived(d)
 	cs.derived.Store(d)
 	return d
 }
 
-// newDerivedColumns allocates a metric layer for n rows and the given
-// flattened level count. The peak spots are sized by the caller.
-func newDerivedColumns(n, levels int) *derivedColumns {
+// newDerivedColumns allocates a metric layer for n rows. The peak spots
+// are sized by the caller.
+func newDerivedColumns(n int) *derivedColumns {
 	return &derivedColumns{
 		eps:          make([]float64, n),
 		ees:          make([]float64, n),
@@ -222,22 +213,27 @@ func newDerivedColumns(n, levels int) *derivedColumns {
 		idleFracs:    make([]float64, n),
 		dynRanges:    make([]float64, n),
 		peakOverFull: make([]float64, n),
-		linearDevs:   make([]float64, n),
-		levelEE:      make([]float64, levels),
 		spotOff:      make([]int32, n+1),
 		curveOK:      make([]bool, n),
 		compliant:    make([]bool, n),
 	}
 }
 
+// Curve wraps row i's level columns in a core.Curve without copying
+// them. The row's curve must be valid (CurveOKCol); CurveErr says why
+// it is not.
+func (cs *ColumnStore) Curve(i int) *core.Curve {
+	lo, hi := cs.levelOff[i], cs.levelOff[i+1]
+	return core.LevelCurve(cs.idleWatts[i], cs.levelTarget[lo:hi], cs.levelOps[lo:hi], cs.levelPower[lo:hi])
+}
+
 // CurveErr returns the curve-construction error of row i (nil for valid
-// rows), materializing a transient view only on the failure path.
+// rows), worded as Result.Curve words it.
 func (cs *ColumnStore) CurveErr(i int) error {
-	if cs.derivedCols().curveOK[i] {
-		return nil
+	if err := cs.checkCurve(i); err != nil {
+		return curveError(cs.ids[i], err)
 	}
-	_, err := cs.Result(i).Curve()
-	return err
+	return nil
 }
 
 // ColumnBuilder accumulates results into a ColumnStore row by row.
@@ -365,7 +361,7 @@ func (cs *ColumnStore) Gather(rows []int32) *ColumnStore {
 	d := cs.derived.Load()
 	var od *derivedColumns
 	if d != nil {
-		od = newDerivedColumns(n, levels)
+		od = newDerivedColumns(n)
 		spots := 0
 		for i, r := range rows {
 			spots += int(d.spotOff[r+1] - d.spotOff[r])
@@ -411,10 +407,8 @@ func (cs *ColumnStore) Gather(rows []int32) *ColumnStore {
 				od.idleFracs[i] = d.idleFracs[r]
 				od.dynRanges[i] = d.dynRanges[r]
 				od.peakOverFull[i] = d.peakOverFull[r]
-				od.linearDevs[i] = d.linearDevs[r]
 				od.curveOK[i] = d.curveOK[r]
 				od.compliant[i] = d.compliant[r]
-				copy(od.levelEE[dst:dst+width], d.levelEE[src:src+width])
 				sdst, ssrc := od.spotOff[i], d.spotOff[r]
 				swidth := od.spotOff[i+1] - sdst
 				copy(od.spots[sdst:sdst+swidth], d.spots[ssrc:ssrc+swidth])

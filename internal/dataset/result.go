@@ -138,7 +138,6 @@ type metrics struct {
 	idleFraction float64
 	dynamicRange float64
 	peakOverFull float64
-	linearDev    float64
 }
 
 // cached returns the memoized metrics, computing them on first use.
@@ -159,7 +158,6 @@ func (r *Result) cached() *metrics {
 		m.idleFraction = c.IdleFraction()
 		m.dynamicRange = c.DynamicRange()
 		m.peakOverFull = c.PeakOverFullRatio()
-		m.linearDev = c.LinearDeviation()
 	}
 	r.memo.Store(m)
 	return m
@@ -199,9 +197,14 @@ func (r *Result) buildCurve() (*core.Curve, error) {
 	}
 	c, err := core.NewCurve(points)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: result %s: %w", r.ID, err)
+		return nil, curveError(r.ID, err)
 	}
 	return c, nil
+}
+
+// curveError words a result's curve-validation error.
+func curveError(id string, err error) error {
+	return fmt.Errorf("dataset: result %s: %w", id, err)
 }
 
 // Curve returns the result's eleven points as a core.Curve. Results that
@@ -266,10 +269,6 @@ func (r *Result) DynamicRange() float64 { return r.cached().dynamicRange }
 // PeakOverFullRatio returns peak efficiency over full-load efficiency,
 // or zero when the curve is invalid.
 func (r *Result) PeakOverFullRatio() float64 { return r.cached().peakOverFull }
-
-// LinearDeviation returns the signed area between the normalized power
-// curve and its idle-to-peak chord, or zero when the curve is invalid.
-func (r *Result) LinearDeviation() float64 { return r.cached().linearDev }
 
 // Clone returns a deep copy of the result with an empty metric cache:
 // the clone computes its own metrics on first access and never shares

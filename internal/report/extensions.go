@@ -69,40 +69,22 @@ func FigE2ClusterPolicies(fleet []*placement.Profile) (string, error) {
 // (Eq. 1 as published) versus composite Simpson over the corpus.
 func FigE3QuadratureAblation(rp *dataset.Repository) (string, error) {
 	cs := rp.Columns()
-	off := cs.LevelOffsets()
-	levelPower := cs.LevelPowerCol()
-	idleWatts := cs.IdleWattsCol()
 	epCol := cs.EPCol()
 	curveOK := cs.CurveOKCol()
 	ids := cs.IDCol()
 	diffs := make([]float64, 0, cs.Len())
 	maxDiff := 0.0
 	var maxID string
-	// Simpson − trapezoid straight from the level columns: the Simpson
-	// sum below is Curve.EPSimpson op for op, and the stored EP column is
-	// the trapezoid value, so each difference is bit-identical to the
-	// curve-walking ablation. Non-standard grids fall back to the
-	// trapezoid value on both sides, i.e. d = 0, as EPSimpson does.
+	// Simpson − trapezoid per server; the EP column holds the trapezoid
+	// value. Off the standard grid Simpson falls back to the trapezoid
+	// value, so the difference is zero there.
 	for i := 0; i < cs.Len(); i++ {
 		if !curveOK[i] {
 			return "", cs.CurveErr(i)
 		}
-		lo, hi := off[i], off[i+1]
 		d := 0.0
-		if int(hi-lo)+1 == 11 {
-			peak := levelPower[hi-1]
-			sum := idleWatts[i]/peak + levelPower[hi-1]/peak
-			for k := 1; k < 10; k++ {
-				n := levelPower[lo+int32(k)-1] / peak
-				if k%2 == 1 {
-					sum += 4 * n
-				} else {
-					sum += 2 * n
-				}
-			}
-			h := 0.1
-			area := h / 3 * sum
-			d = (2 - 2*area) - epCol[i]
+		if c := cs.Curve(i); c.NumLevels() == len(core.StandardUtilizations) {
+			d = c.EPSimpson() - epCol[i]
 		}
 		diffs = append(diffs, d)
 		if abs := math.Abs(d); abs > maxDiff {
