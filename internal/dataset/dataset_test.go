@@ -169,6 +169,39 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateReadsFullWidthIntegers pins Validate's verdict and text
+// for integer fields beyond int32, which the column store's int32
+// columns would wrap.
+func TestValidateReadsFullWidthIntegers(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Result)
+		want   string // the message after the result ID; "" for compliant
+	}{
+		{"hw year", func(r *Result) { r.HWAvailYear = 2010 + 1<<32 },
+			"hardware availability year 4294969306 outside [2004, 2016]"},
+		{"cores per chip", func(r *Result) { r.CoresPerChip = 1 << 32 }, ""},
+		{"nodes", func(r *Result) { r.Nodes = 1 << 32 },
+			"chip count 2 not a positive multiple of 4294967296 nodes"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r := validResult("x")
+			tt.mutate(r)
+			err := Validate(r)
+			if tt.want == "" {
+				if err != nil {
+					t.Fatalf("compliant result rejected: %v", err)
+				}
+				return
+			}
+			if want := "dataset: non-compliant result: x: " + tt.want; err == nil || err.Error() != want {
+				t.Fatalf("Validate = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 func TestRepositoryFilters(t *testing.T) {
 	a := validResult("a") // 2015, 1 node
 	b := validResult("b")
