@@ -171,6 +171,37 @@ func BenchmarkColumnarReport10k(b *testing.B)  { benchmarkColumnarReport(b, 10_0
 func BenchmarkColumnarReport100k(b *testing.B) { benchmarkColumnarReport(b, 100_000) }
 func BenchmarkColumnarReport1M(b *testing.B)   { benchmarkColumnarReport(b, 1_000_000) }
 
+// BenchmarkColumnarReportCold100k times the report as a fleet-batch
+// pass or a `specreport -in` run pays for it: every iteration decodes a
+// fresh 100k-server store from EPFB v2 bytes and derives its metric
+// columns outside the timer, then renders the full report with nothing
+// memoized yet. BenchmarkColumnarReport100k instead reuses one store,
+// so after its first iteration it times warm, memoized renders.
+func BenchmarkColumnarReportCold100k(b *testing.B) {
+	const n = 100_000
+	var buf bytes.Buffer
+	if err := repro.WriteColumns(&buf, colStore(b, n)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cs, err := repro.ReadColumnsBytes(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rp := repro.NewColumnRepository(cs)
+		rp.Precompute()
+		b.StartTimer()
+		out, err := repro.FullReport(rp, repro.ReportOptions{Sweeps: false})
+		if err != nil {
+			b.Fatal(err)
+		}
+		colReportLen = len(out)
+	}
+}
+
 // ---- cluster composition at 1M (10k/100k live in bench_test.go) ----
 
 func BenchmarkColumnarCompose1M(b *testing.B) {

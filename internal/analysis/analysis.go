@@ -15,10 +15,11 @@
 package analysis
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/microarch"
@@ -43,28 +44,41 @@ func tooFew(format string, args ...any) error {
 	return &tooFewError{msg: fmt.Sprintf(format, args...)}
 }
 
-// gather copies the column values at the given rows, in order.
-func gather(col []float64, rows []int32) []float64 {
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		out[i] = col[r]
+// mean returns the mean of col over the non-empty rows, adding in row
+// order as stats.Mean over the gathered values does.
+func mean(col []float64, rows []int32) float64 {
+	var s float64
+	for _, r := range rows {
+		s += col[r]
 	}
-	return out
+	return s / float64(len(rows))
 }
 
-// groupRowsByInt buckets row indices by an int32 key column, preserving
-// row order inside each bucket, and returns the sorted keys.
-func groupRowsByInt(col []int32) (map[int][]int32, []int) {
-	groups := make(map[int][]int32)
-	for i, v := range col {
-		groups[int(v)] = append(groups[int(v)], int32(i))
+// meanMedian returns mean(col, rows) and the rows' median.
+func meanMedian(col []float64, rows []int32) (float64, float64) {
+	xs := make([]float64, len(rows))
+	for i, r := range rows {
+		xs[i] = col[r]
 	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return groups, keys
+	median, _ := stats.MedianInPlace(xs)
+	return mean(col, rows), median
+}
+
+// memoResult is a memoized (value, error) pair.
+type memoResult[T any] struct {
+	v   T
+	err error
+}
+
+// memo returns build's result, built once per store under key (see
+// dataset.ColumnStore.Memoize); callers share it and must treat it as
+// read-only.
+func memo[T any](cs *dataset.ColumnStore, key string, build func() (T, error)) (T, error) {
+	m := cs.Memoize(key, func() any {
+		v, err := build()
+		return memoResult[T]{v, err}
+	}).(memoResult[T])
+	return m.v, m.err
 }
 
 // YearStats aggregates one hardware-availability year.
@@ -85,7 +99,9 @@ type YearStats struct {
 // so callers share one slice and must treat it as read-only.
 func YearlyTrend(rp *dataset.Repository) ([]YearStats, error) {
 	cs := rp.Columns()
-	return memoYearlyTrend(cs, "analysis.yearlyTrend.hw", cs.HWYearCol())
+	return memo(cs, "analysis.yearlyTrend.hw", func() ([]YearStats, error) {
+		return yearlyTrend(cs, cs.HWYearGroups())
+	})
 }
 
 // YearlyTrendByPublished computes the same series grouped by published
@@ -93,43 +109,30 @@ func YearlyTrend(rp *dataset.Repository) ([]YearStats, error) {
 // against. Memoized like YearlyTrend; treat the result as read-only.
 func YearlyTrendByPublished(rp *dataset.Repository) ([]YearStats, error) {
 	cs := rp.Columns()
-	return memoYearlyTrend(cs, "analysis.yearlyTrend.pub", cs.PubYearCol())
+	return memo(cs, "analysis.yearlyTrend.pub", func() ([]YearStats, error) {
+		return yearlyTrend(cs, dataset.GroupRows(cs.PubYearCol()))
+	})
 }
 
-// trendMemo is the cached (trend, error) pair for one grouping column.
-type trendMemo struct {
-	trend []YearStats
-	err   error
-}
-
-func memoYearlyTrend(cs *dataset.ColumnStore, key string, yearCol []int32) ([]YearStats, error) {
-	m := cs.Memoize(key, func() any {
-		t, err := yearlyTrendBy(cs, yearCol)
-		return trendMemo{trend: t, err: err}
-	}).(trendMemo)
-	return m.trend, m.err
-}
-
-func yearlyTrendBy(cs *dataset.ColumnStore, yearCol []int32) ([]YearStats, error) {
-	groups, years := groupRowsByInt(yearCol)
-	epCol, eeCol, peakCol := cs.EPCol(), cs.OverallEECol(), cs.PeakEECol()
-	out := make([]YearStats, len(years))
-	err := par.ForEachErr(len(years), func(i int) error {
-		y := years[i]
-		g := groups[y]
-		epSum, err := stats.Describe(gather(epCol, g))
-		if err != nil {
-			return fmt.Errorf("analysis: year %d: %w", y, err)
+// yearlyTrend summarizes each group's EP, EE and peak EE, gathered in
+// store order into one buffer per group and sorted there.
+func yearlyTrend(cs *dataset.ColumnStore, years *dataset.Groups) ([]YearStats, error) {
+	cols := [3][]float64{cs.EPCol(), cs.OverallEECol(), cs.PeakEECol()}
+	out := make([]YearStats, len(years.Keys))
+	err := par.ForEachErr(len(years.Keys), func(i int) error {
+		rows := years.At(i)
+		buf := make([]float64, len(rows))
+		var sum [3]stats.Summary
+		for c, col := range cols {
+			for k, r := range rows {
+				buf[k] = col[r]
+			}
+			var err error
+			if sum[c], err = stats.DescribeInPlace(buf); err != nil {
+				return fmt.Errorf("analysis: year %d: %w", years.Keys[i], err)
+			}
 		}
-		eeSum, err := stats.Describe(gather(eeCol, g))
-		if err != nil {
-			return fmt.Errorf("analysis: year %d: %w", y, err)
-		}
-		peakSum, err := stats.Describe(gather(peakCol, g))
-		if err != nil {
-			return fmt.Errorf("analysis: year %d: %w", y, err)
-		}
-		out[i] = YearStats{Year: y, N: len(g), EP: epSum, EE: eeSum, PeakEE: peakSum}
+		out[i] = YearStats{Year: years.Keys[i], N: len(rows), EP: sum[0], EE: sum[1], PeakEE: sum[2]}
 		return nil
 	})
 	if err != nil {
@@ -141,7 +144,7 @@ func yearlyTrendBy(cs *dataset.ColumnStore, yearCol []int32) ([]YearStats, error
 // EPDistribution returns the empirical CDF of energy proportionality
 // (Fig. 5) and a decile histogram over [0, 1.1].
 func EPDistribution(rp *dataset.Repository) (*stats.ECDF, *stats.Histogram, error) {
-	eps := rp.EPs()
+	eps := rp.Columns().EPCol()
 	cdf, err := stats.NewECDF(eps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: ep distribution: %w", err)
@@ -161,25 +164,34 @@ type FamilyCount struct {
 }
 
 // ByFamily groups servers by microarchitecture family in chronological
-// family order (Fig. 6).
+// family order (Fig. 6). Rows take their family from their codename
+// group; each family's EPs add in store order, as a gathered mean does.
 func ByFamily(rp *dataset.Repository) []FamilyCount {
 	cs := rp.Columns()
-	groups := make(map[microarch.Family][]int32)
-	for i, code := range cs.CodenameCol() {
-		f := code.Family()
-		groups[f] = append(groups[f], int32(i))
-	}
-	fams := make([]microarch.Family, 0, len(groups))
-	for _, fam := range microarch.AllFamilies() {
-		if _, ok := groups[fam]; ok {
-			fams = append(fams, fam)
+	fams := microarch.AllFamilies()
+	slot := make([]int8, cs.Len())
+	codes := dataset.GroupRows(cs.CodenameCol())
+	for i, code := range codes.Keys {
+		f := int8(slices.Index(fams, microarch.Codename(code).Family()))
+		for _, r := range codes.At(i) {
+			slot[r] = f
 		}
 	}
-	epCol := cs.EPCol()
-	return par.Map(len(fams), func(i int) FamilyCount {
-		g := groups[fams[i]]
-		return FamilyCount{Family: fams[i], Count: len(g), MeanEP: stats.MustMean(gather(epCol, g))}
-	})
+	count := make([]int, len(fams))
+	sum := make([]float64, len(fams))
+	for r, ep := range cs.EPCol() {
+		if f := slot[r]; f >= 0 {
+			count[f]++
+			sum[f] += ep
+		}
+	}
+	out := make([]FamilyCount, 0, len(fams))
+	for f, fam := range fams {
+		if count[f] > 0 {
+			out = append(out, FamilyCount{Family: fam, Count: count[f], MeanEP: sum[f] / float64(count[f])})
+		}
+	}
+	return out
 }
 
 // CodenameStats is one Fig. 7 entry: servers and EP per processor
@@ -195,27 +207,18 @@ type CodenameStats struct {
 // order (Fig. 7). The per-codename aggregation fans out across CPUs.
 func ByCodename(rp *dataset.Repository) []CodenameStats {
 	cs := rp.Columns()
-	groups := make(map[microarch.Codename][]int32)
-	for i, code := range cs.CodenameCol() {
-		groups[code] = append(groups[code], int32(i))
-	}
-	order := append(microarch.AllCodenames(), microarch.UnknownCodename)
-	codes := make([]microarch.Codename, 0, len(groups))
-	for _, code := range order {
-		if _, ok := groups[code]; ok {
-			codes = append(codes, code)
+	groups := dataset.GroupRows(cs.CodenameCol())
+	var codes []microarch.Codename
+	var members [][]int32
+	for _, code := range append(microarch.AllCodenames(), microarch.UnknownCodename) {
+		if rows := groups.Span(int(code), int(code)); len(rows) > 0 {
+			codes, members = append(codes, code), append(members, rows)
 		}
 	}
 	epCol := cs.EPCol()
 	return par.Map(len(codes), func(i int) CodenameStats {
-		eps := gather(epCol, groups[codes[i]])
-		med, _ := stats.Median(eps)
-		return CodenameStats{
-			Codename: codes[i],
-			Count:    len(eps),
-			MeanEP:   stats.MustMean(eps),
-			MedianEP: med,
-		}
+		mean, med := meanMedian(epCol, members[i])
+		return CodenameStats{Codename: codes[i], Count: len(members[i]), MeanEP: mean, MedianEP: med}
 	})
 }
 
@@ -264,46 +267,37 @@ type GroupStats struct {
 // rule.
 func ByNodes(rp *dataset.Repository, minCount int) []GroupStats {
 	cs := rp.Columns()
-	groups, _ := groupRowsByInt(cs.NodesCol())
-	return groupStats(cs, groups, minCount)
+	return groupStats(cs, dataset.GroupRows(cs.NodesCol()), nil, minCount)
 }
 
 // ByChips aggregates single-node servers by chip count (Fig. 14).
 func ByChips(rp *dataset.Repository, minCount int) []GroupStats {
 	cs := rp.Columns()
-	nodes, chips := cs.NodesCol(), cs.ChipsCol()
-	groups := make(map[int][]int32)
-	for i, n := range nodes {
-		if n == 1 {
-			groups[int(chips[i])] = append(groups[int(chips[i])], int32(i))
-		}
-	}
-	return groupStats(cs, groups, minCount)
+	nodes := cs.NodesCol()
+	return groupStats(cs, dataset.GroupRows(cs.ChipsCol()), func(r int32) bool { return nodes[r] == 1 }, minCount)
 }
 
-func groupStats(cs *dataset.ColumnStore, groups map[int][]int32, minCount int) []GroupStats {
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		if len(groups[k]) >= minCount {
-			keys = append(keys, k)
+// groupStats aggregates the rows keep accepts (nil: all) of each group
+// left with at least minCount rows.
+func groupStats(cs *dataset.ColumnStore, g *dataset.Groups, keep func(int32) bool, minCount int) []GroupStats {
+	var keys []int
+	var members [][]int32
+	for i, k := range g.Keys {
+		rows := g.At(i)
+		if keep != nil {
+			rows = slices.DeleteFunc(slices.Clone(rows), func(r int32) bool { return !keep(r) })
+		}
+		if len(rows) > 0 && len(rows) >= minCount {
+			keys, members = append(keys, k), append(members, rows)
 		}
 	}
-	sort.Ints(keys)
 	epCol, eeCol := cs.EPCol(), cs.OverallEECol()
 	return par.Map(len(keys), func(i int) GroupStats {
-		k := keys[i]
-		eps := gather(epCol, groups[k])
-		ees := gather(eeCol, groups[k])
-		medEP, _ := stats.Median(eps)
-		medEE, _ := stats.Median(ees)
-		return GroupStats{
-			Key:      k,
-			N:        len(eps),
-			MeanEP:   stats.MustMean(eps),
-			MedianEP: medEP,
-			MeanEE:   stats.MustMean(ees),
-			MedianEE: medEE,
-		}
+		rows := members[i]
+		g := GroupStats{Key: keys[i], N: len(rows)}
+		g.MeanEP, g.MedianEP = meanMedian(epCol, rows)
+		g.MeanEE, g.MedianEE = meanMedian(eeCol, rows)
+		return g
 	})
 }
 
@@ -336,37 +330,30 @@ type TwoChipYear struct {
 // per hardware availability year (Fig. 15).
 func TwoChipVsAll(rp *dataset.Repository) TwoChipComparison {
 	cs := rp.Columns()
-	hwYears, nodes, chips := cs.HWYearCol(), cs.NodesCol(), cs.ChipsCol()
-	byYearAll := make(map[int][]int32)
-	byYearTwo := make(map[int][]int32)
-	for i, y := range hwYears {
-		byYearAll[int(y)] = append(byYearAll[int(y)], int32(i))
-		if nodes[i] == 1 && chips[i] == 2 {
-			byYearTwo[int(y)] = append(byYearTwo[int(y)], int32(i))
+	years := cs.HWYearGroups()
+	nodes, chips := cs.NodesCol(), cs.ChipsCol()
+	var at []int
+	var two [][]int32
+	for i := range years.Keys {
+		rows := slices.DeleteFunc(slices.Clone(years.At(i)), func(r int32) bool { return nodes[r] != 1 || chips[r] != 2 })
+		if len(rows) > 0 {
+			at, two = append(at, i), append(two, rows)
 		}
 	}
-	years := make([]int, 0, len(byYearTwo))
-	for y := range byYearTwo {
-		years = append(years, y)
-	}
-	sort.Ints(years)
 
+	// The all-server medians are the year trend's (Describe and Median
+	// read the same middle); its means add in sorted order, not row order.
+	trend, _ := YearlyTrend(rp) // fails only on an empty year; none is
 	epCol, eeCol := cs.EPCol(), cs.OverallEECol()
 	var cmp TwoChipComparison
 	var sumMeanEP, sumMeanEE, sumMedEP, sumMedEE float64
-	cmp.Years = par.Map(len(years), func(i int) TwoChipYear {
-		y := years[i]
-		twoEPs, twoEEs := gather(epCol, byYearTwo[y]), gather(eeCol, byYearTwo[y])
-		allEPs, allEEs := gather(epCol, byYearAll[y]), gather(eeCol, byYearAll[y])
-		ty := TwoChipYear{Year: y, TwoChipN: len(twoEPs)}
-		ty.TwoChipMeanEP = stats.MustMean(twoEPs)
-		ty.AllMeanEP = stats.MustMean(allEPs)
-		ty.TwoChipMeanEE = stats.MustMean(twoEEs)
-		ty.AllMeanEE = stats.MustMean(allEEs)
-		ty.TwoChipMedianEP, _ = stats.Median(twoEPs)
-		ty.AllMedianEP, _ = stats.Median(allEPs)
-		ty.TwoChipMedianEE, _ = stats.Median(twoEEs)
-		ty.AllMedianEE, _ = stats.Median(allEEs)
+	cmp.Years = par.Map(len(at), func(i int) TwoChipYear {
+		all := years.At(at[i])
+		ty := TwoChipYear{Year: years.Keys[at[i]], TwoChipN: len(two[i])}
+		ty.TwoChipMeanEP, ty.TwoChipMedianEP = meanMedian(epCol, two[i])
+		ty.TwoChipMeanEE, ty.TwoChipMedianEE = meanMedian(eeCol, two[i])
+		ty.AllMeanEP, ty.AllMeanEE = mean(epCol, all), mean(eeCol, all)
+		ty.AllMedianEP, ty.AllMedianEE = trend[at[i]].EP.Median, trend[at[i]].EE.Median
 		return ty
 	})
 	for _, ty := range cmp.Years {
@@ -398,18 +385,11 @@ type PeakShiftRow struct {
 // Each year's tally reads the flattened peak-spot column in parallel.
 func PeakShift(rp *dataset.Repository) []PeakShiftRow {
 	cs := rp.Columns()
-	byYear, years := groupRowsByInt(cs.HWYearCol())
-	spotOff, spots := cs.PeakSpotOffsets(), cs.PeakSpotCol()
-	return par.Map(len(years), func(i int) PeakShiftRow {
-		y := years[i]
-		row := PeakShiftRow{Year: y, Counts: make(map[float64]int)}
-		for _, r := range byYear[y] {
-			for s := spotOff[r]; s < spotOff[r+1]; s++ {
-				row.Counts[roundLevel(spots[s])]++
-				row.Spots++
-			}
-		}
-		return row
+	years := cs.HWYearGroups()
+	return par.Map(len(years.Keys), func(i int) PeakShiftRow {
+		var t spotTally
+		spots := t.add(cs, years.At(i))
+		return PeakShiftRow{Year: years.Keys[i], Counts: t.counts(), Spots: spots}
 	})
 }
 
@@ -418,21 +398,55 @@ func PeakShift(rp *dataset.Repository) []PeakShiftRow {
 // matching the paper's percentages.
 func PeakShiftShares(rp *dataset.Repository, from, to int) map[float64]float64 {
 	cs := rp.Columns()
-	spotOff, spots := cs.PeakSpotOffsets(), cs.PeakSpotCol()
-	counts := make(map[float64]int)
-	servers := 0
-	for i, y := range cs.HWYearCol() {
-		if int(y) < from || int(y) > to {
-			continue
-		}
-		servers++
-		for s := spotOff[i]; s < spotOff[i+1]; s++ {
-			counts[roundLevel(spots[s])]++
-		}
-	}
+	rows := cs.HWYearGroups().Span(from, to)
+	var t spotTally
+	t.add(cs, rows)
+	counts := t.counts()
 	out := make(map[float64]float64, len(counts))
 	for u, c := range counts {
-		out[u] = float64(c) / float64(servers)
+		out[u] = float64(c) / float64(len(rows))
+	}
+	return out
+}
+
+// spotTally counts peak-efficiency spots by utilization rounded to a
+// tenth: by grid index, or for a spot off [0, 1] (a NaN utilization
+// that passed the curve check) in a map keyed by its rounded value.
+type spotTally struct {
+	grid [11]int
+	off  map[float64]int
+}
+
+// add tallies the spots of rows and returns how many there were.
+func (t *spotTally) add(cs *dataset.ColumnStore, rows []int32) int {
+	spotOff, spots := cs.PeakSpotOffsets(), cs.PeakSpotCol()
+	n := 0
+	for _, r := range rows {
+		for s := spotOff[r]; s < spotOff[r+1]; s++ {
+			if k := math.Round(spots[s] * 10); k >= 0 && k <= 10 {
+				t.grid[int(k)]++
+			} else {
+				if t.off == nil {
+					t.off = make(map[float64]int)
+				}
+				t.off[roundLevel(spots[s])]++
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// counts returns the tally keyed by rounded utilization.
+func (t *spotTally) counts() map[float64]int {
+	out := make(map[float64]int, len(t.off)+len(t.grid))
+	for k, c := range t.grid {
+		if c > 0 {
+			out[float64(k)/10] = c
+		}
+	}
+	for u, c := range t.off {
+		out[u] = c
 	}
 	return out
 }
@@ -449,34 +463,64 @@ type MPCBucket struct {
 
 // MemoryPerCore buckets servers by memory-per-core ratio (rounded to
 // two decimals) and keeps buckets with at least minCount servers —
-// Table I uses 10, which keeps 430 of the 477 servers.
+// Table I uses 10, which keeps 430 of the 477 servers. The buckets are
+// memoized per minCount (Table I and Fig. 17 share them); treat them as
+// read-only.
 func MemoryPerCore(rp *dataset.Repository, minCount int) []MPCBucket {
 	cs := rp.Columns()
+	buckets, _ := memo(cs, fmt.Sprintf("analysis.memoryPerCore.%d", minCount), func() ([]MPCBucket, error) {
+		keys, ids := mpcBuckets(cs)
+		g := dataset.GroupRows(ids)
+		var kept []int
+		for i := range g.Keys {
+			if len(g.At(i)) >= minCount {
+				kept = append(kept, i)
+			}
+		}
+		// A bucket's key is its last row's (a float-keyed map assignment
+		// rewrites the key, so ±0 keep the last sign); the first-seen ids
+		// need this sort into sort.Float64s order, hundredths are in it.
+		key := func(i int) float64 { rows := g.At(i); return keys[rows[len(rows)-1]] }
+		slices.SortStableFunc(kept, func(a, b int) int { return cmp.Compare(key(a), key(b)) })
+		epCol, eeCol := cs.EPCol(), cs.OverallEECol()
+		return par.Map(len(kept), func(i int) MPCBucket {
+			rows := g.At(kept[i])
+			return MPCBucket{GBPerCore: key(kept[i]), Count: len(rows), MeanEP: mean(epCol, rows), MeanEE: mean(eeCol, rows)}
+		}), nil
+	})
+	return buckets
+}
+
+// mpcBuckets returns each row's memory-per-core bucket key and id: the
+// key in hundredths when every key fits an int32, as real disclosures'
+// do, else the key's first-seen number (each NaN apart, as in a map).
+func mpcBuckets(cs *dataset.ColumnStore) (keys []float64, ids []int32) {
 	memGB, chips, cores := cs.MemoryGBCol(), cs.ChipsCol(), cs.CoresPerChipCol()
-	groups := make(map[float64][]int32)
+	keys = make([]float64, len(memGB))
+	ids = make([]int32, len(memGB))
+	hundredths := true
 	for i := range memGB {
 		mpc := 0.0
 		if total := int(chips[i]) * int(cores[i]); total != 0 {
 			mpc = memGB[i] / float64(total)
 		}
-		k := math.Round(mpc*100) / 100
-		groups[k] = append(groups[k], int32(i))
-	}
-	keys := make([]float64, 0, len(groups))
-	for k, g := range groups {
-		if len(g) >= minCount {
-			keys = append(keys, k)
+		h := math.Round(mpc * 100)
+		keys[i] = h / 100
+		if hundredths = hundredths && h > math.MinInt32 && h < math.MaxInt32; hundredths {
+			ids[i] = int32(h)
 		}
 	}
-	sort.Float64s(keys)
-	epCol, eeCol := cs.EPCol(), cs.OverallEECol()
-	return par.Map(len(keys), func(i int) MPCBucket {
-		k := keys[i]
-		return MPCBucket{
-			GBPerCore: k,
-			Count:     len(groups[k]),
-			MeanEP:    stats.MustMean(gather(epCol, groups[k])),
-			MeanEE:    stats.MustMean(gather(eeCol, groups[k])),
+	if !hundredths {
+		seen := make(map[float64]int32)
+		next := int32(0)
+		for i, k := range keys {
+			id, ok := seen[k]
+			if !ok { // always so for a NaN, which no lookup finds
+				id, next = next, next+1
+				seen[k] = id
+			}
+			ids[i] = id
 		}
-	})
+	}
+	return keys, ids
 }

@@ -593,9 +593,10 @@ func TestImprovementRates(t *testing.T) {
 }
 
 // TestImprovementRatesMemoized: each era is fitted once per corpus.
-// Concurrent first calls (Memoize may run their builds in parallel)
-// agree bit for bit with a corpus fitted serially, and a projection
-// leaves its 2013-2016 fit in the memo for the summary's era rates.
+// Concurrent first calls agree bit for bit with a corpus fitted
+// serially, and a projection leaves its 2013-2016 fit, the year trend
+// and the Eq. 2 fit in the memo for the summary's era rates and the
+// other target years.
 func TestImprovementRatesMemoized(t *testing.T) {
 	fresh := func() *dataset.Repository {
 		rp, err := synth.NewRepository(synth.Config{Seed: 1})
@@ -615,10 +616,12 @@ func TestImprovementRatesMemoized(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := rp.Columns()
-	cs.Memoize("analysis.eraRate.2013-2016", func() any {
-		t.Error("ProjectTrends did not memoize the 2013-2016 fit")
-		return eraMemo{}
-	})
+	for _, key := range []string{"analysis.eraRate.2013-2016", "analysis.yearlyTrend.hw", "analysis.idleRegression"} {
+		cs.Memoize(key, func() any {
+			t.Errorf("ProjectTrends did not memoize %s", key)
+			return nil
+		})
+	}
 
 	const callers = 4
 	got := make([][]EraRate, callers)
@@ -648,7 +651,7 @@ func TestImprovementRatesMemoized(t *testing.T) {
 	for _, era := range eras {
 		cs.Memoize(fmt.Sprintf("analysis.eraRate.%d-%d", era[0], era[1]), func() any {
 			t.Errorf("era %d-%d not memoized", era[0], era[1])
-			return eraMemo{}
+			return memoResult[EraRate]{}
 		})
 	}
 }

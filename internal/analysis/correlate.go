@@ -9,23 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// firstCurveError returns the curve error of the first invalid result
-// in repository order, or nil when every curve is valid — the same
-// error a sequential curve-building loop would surface first. The valid
-// path reads one precomputed flag; only a failure materializes a row.
-func firstCurveError(rp *dataset.Repository) error {
-	cs := rp.Columns()
-	if cs.AllCurvesOK() {
-		return nil
-	}
-	for i, ok := range cs.CurveOKCol() {
-		if !ok {
-			return cs.CurveErr(i)
-		}
-	}
-	return nil
-}
-
 // Correlations quantifies the metric relationships the paper reports
 // (§I, §III.D, §IV) across the repository.
 type Correlations struct {
@@ -51,19 +34,20 @@ type Correlations struct {
 // variance (which leaves a coefficient undefined), is an error matching
 // ErrTooFewServers.
 func ComputeCorrelations(rp *dataset.Repository) (Correlations, error) {
-	if err := firstCurveError(rp); err != nil {
+	cs := rp.Columns()
+	if err := cs.FirstCurveErr(); err != nil {
 		return Correlations{}, fmt.Errorf("analysis: correlations: %w", err)
 	}
 	if rp.Len() < 2 {
 		return Correlations{}, tooFew("analysis: correlations need at least 2 servers, have %d", rp.Len())
 	}
-	eps := rp.EPs()
-	ees := rp.OverallEEs()
-	idles := rp.IdleFractions()
-	drs := rp.DynamicRanges()
-	ratios := rp.PeakOverFullRatios()
-	offsets := rp.PeakEEUtilizations()
-	for i, u := range offsets {
+	eps := cs.EPCol()
+	ees := cs.OverallEECol()
+	idles := cs.IdleFractionCol()
+	drs := cs.DynamicRangeCol()
+	ratios := cs.PeakOverFullCol()
+	offsets := make([]float64, rp.Len())
+	for i, u := range cs.PeakEEUtilCol() {
 		offsets[i] = 1 - u // PeakEEOffset = 1 − peak-efficiency utilization
 	}
 	out := Correlations{N: rp.Len()}
@@ -104,27 +88,31 @@ type IdleRegression struct {
 	EPAtFivePercentIdle float64
 }
 
-// FitIdleRegression computes Eq. 2 over the repository.
+// FitIdleRegression computes Eq. 2 over the repository. The fit is
+// memoized on the corpus: the headline statistics and every projection
+// share it.
 func FitIdleRegression(rp *dataset.Repository) (IdleRegression, error) {
-	if err := firstCurveError(rp); err != nil {
-		return IdleRegression{}, fmt.Errorf("analysis: idle regression: %w", err)
-	}
-	eps := rp.EPs()
-	idles := rp.IdleFractions()
-	fit, err := stats.ExponentialRegression(idles, eps)
-	if err != nil {
-		return IdleRegression{}, fmt.Errorf("analysis: idle regression: %w", err)
-	}
-	corr, err := stats.Pearson(eps, idles)
-	if err != nil {
-		return IdleRegression{}, err
-	}
-	return IdleRegression{
-		Fit:                 fit,
-		Correlation:         corr,
-		MaxTheoreticalEP:    fit.A,
-		EPAtFivePercentIdle: fit.Predict(0.05),
-	}, nil
+	cs := rp.Columns()
+	return memo(cs, "analysis.idleRegression", func() (IdleRegression, error) {
+		if err := cs.FirstCurveErr(); err != nil {
+			return IdleRegression{}, fmt.Errorf("analysis: idle regression: %w", err)
+		}
+		eps, idles := cs.EPCol(), cs.IdleFractionCol()
+		fit, err := stats.ExponentialRegression(idles, eps)
+		if err != nil {
+			return IdleRegression{}, fmt.Errorf("analysis: idle regression: %w", err)
+		}
+		corr, err := stats.Pearson(eps, idles)
+		if err != nil {
+			return IdleRegression{}, err
+		}
+		return IdleRegression{
+			Fit:                 fit,
+			Correlation:         corr,
+			MaxTheoreticalEP:    fit.A,
+			EPAtFivePercentIdle: fit.Predict(0.05),
+		}, nil
+	})
 }
 
 // AsyncStats quantifies §IV.B: the top decile by EP and by EE draw from
@@ -162,16 +150,8 @@ func Asynchronization(rp *dataset.Repository) AsyncStats {
 		return out
 	}
 	hwYears := cs.HWYearCol()
-	in2012, late2015 := 0, 0
-	for _, y := range hwYears {
-		if y == 2012 {
-			in2012++
-		}
-		if y >= 2015 && y <= 2016 {
-			late2015++
-		}
-	}
-	out.Share2012 = float64(in2012) / float64(n)
+	years := cs.HWYearGroups()
+	out.Share2012 = float64(len(years.Span(2012, 2012))) / float64(n)
 
 	ids := cs.IDCol()
 	topEPSet := make(map[string]bool, topN)
@@ -198,7 +178,7 @@ func Asynchronization(rp *dataset.Repository) AsyncStats {
 	}
 	out.TopEEFrom2012 = float64(ee2012) / float64(topN)
 	out.Servers20152016InTopEE = late
-	out.Servers20152016 = late2015
+	out.Servers20152016 = len(years.Span(2015, 2016))
 	out.Overlap = float64(overlap) / float64(topN)
 	return out
 }

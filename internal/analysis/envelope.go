@@ -96,9 +96,19 @@ func envelope(rp *dataset.Repository, normPower bool) Envelope {
 				} else {
 					vals = c.AppendNormalizedEE(vals[:0])
 				}
+				// A strict comparison settles most values before the
+				// math.Min/Max calls, which decide ties, ±0 and NaN.
 				for i, v := range vals {
-					p.lower[i] = math.Min(p.lower[i], v)
-					p.upper[i] = math.Max(p.upper[i], v)
+					if lo := p.lower[i]; v < lo {
+						p.lower[i] = v
+					} else if !(v > lo) {
+						p.lower[i] = math.Min(lo, v)
+					}
+					if hi := p.upper[i]; v > hi {
+						p.upper[i] = v
+					} else if !(v < hi) {
+						p.upper[i] = math.Max(hi, v)
+					}
 				}
 			}
 			ep := epCol[r]
@@ -158,22 +168,21 @@ var paperRepresentatives = []struct {
 // SelectRepresentatives picks, for each of the paper's eleven
 // representative (year, EP) pairs, the server of that year whose EP is
 // closest — exact matches when run on the synthetic corpus, nearest
-// neighbours on any other dataset. Results are ordered by EP. The scan
-// reads the year and EP columns; only the eleven winners materialize.
+// neighbours on any other dataset. Results are ordered by EP. Each scan
+// reads its year's EPs in store order; only the winners materialize.
 func SelectRepresentatives(rp *dataset.Repository) []Representative {
 	cs := rp.Columns()
-	hwYears, eps := cs.HWYearCol(), cs.EPCol()
+	years, eps := cs.HWYearGroups(), cs.EPCol()
 	used := make(map[int]bool, len(paperRepresentatives))
 	out := make([]Representative, 0, len(paperRepresentatives))
 	for _, want := range paperRepresentatives {
 		best := -1
 		bestGap := math.Inf(1)
-		for i, y := range hwYears {
-			if int(y) != want.year || used[i] {
-				continue
-			}
-			if gap := math.Abs(eps[i] - want.ep); gap < bestGap {
-				best, bestGap = i, gap
+		for _, r := range years.Span(want.year, want.year) {
+			if i := int(r); !used[i] {
+				if gap := math.Abs(eps[i] - want.ep); gap < bestGap {
+					best, bestGap = i, gap
+				}
 			}
 		}
 		if best < 0 {

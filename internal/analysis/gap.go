@@ -30,14 +30,14 @@ type GapRow struct {
 // standard-grid row's Curve.ProportionalityGap.
 func ProportionalityGapByYear(rp *dataset.Repository) ([]GapRow, error) {
 	cs := rp.Columns()
-	byYear, years := groupRowsByInt(cs.HWYearCol())
+	years := cs.HWYearGroups()
 	curveOK := cs.CurveOKCol()
 	grid := len(core.StandardUtilizations)
 	gap := make([]float64, 0, grid)
-	out := make([]GapRow, 0, len(years))
-	for _, y := range years {
+	out := make([]GapRow, 0, len(years.Keys))
+	for yi, y := range years.Keys {
 		row := GapRow{Year: y, MeanGap: make([]float64, grid)}
-		for _, r := range byYear[y] {
+		for _, r := range years.At(yi) {
 			if !curveOK[r] {
 				return nil, fmt.Errorf("analysis: gap: %w", cs.CurveErr(int(r)))
 			}

@@ -3,8 +3,10 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -30,42 +32,26 @@ type EraRate struct {
 // the projections and the JSON summary share one fit per era.
 func ImprovementRates(rp *dataset.Repository, eras [][2]int) ([]EraRate, error) {
 	cs := rp.Columns()
-	out := make([]EraRate, 0, len(eras))
-	for _, era := range eras {
-		m := cs.Memoize(fmt.Sprintf("analysis.eraRate.%d-%d", era[0], era[1]), func() any {
-			r, err := eraRate(cs, era)
-			return eraMemo{rate: r, err: err}
-		}).(eraMemo)
-		if m.err != nil {
-			return nil, m.err
-		}
-		out = append(out, m.rate)
-	}
-	return out, nil
+	return par.MapErr(len(eras), func(i int) (EraRate, error) {
+		era := eras[i]
+		return memo(cs, fmt.Sprintf("analysis.eraRate.%d-%d", era[0], era[1]), func() (EraRate, error) {
+			return eraRate(cs, era)
+		})
+	})
 }
 
-// eraMemo is the cached (rate, error) pair for one era.
-type eraMemo struct {
-	rate EraRate
-	err  error
-}
-
-// eraRate fits one era's EP and log-EE Theil–Sen slopes.
+// eraRate fits one era's EP and log-EE Theil–Sen slopes, its servers in
+// store order (which fixes the pairs the sampled estimator draws).
 func eraRate(cs *dataset.ColumnStore, era [2]int) (EraRate, error) {
 	hwYears := cs.HWYearCol()
 	epCol, eeCol := cs.EPCol(), cs.OverallEECol()
 	curveOK := cs.CurveOKCol()
-	n, first, last := 0, era[1], era[0]
-	for _, y := range hwYears {
-		if int(y) >= era[0] && int(y) <= era[1] {
-			n++
-			first, last = min(first, int(y)), max(last, int(y))
-		}
-	}
+	span := cs.HWYearGroups().Span(era[0], era[1])
+	n := len(span)
 	if n < 3 {
 		return EraRate{}, tooFew("analysis: era %d-%d has only %d servers", era[0], era[1], n)
 	}
-	if first == last {
+	if first, last := hwYears[span[0]], hwYears[span[n-1]]; first == last {
 		return EraRate{}, tooFew("analysis: era %d-%d servers all date from %d; a rate needs two years", era[0], era[1], first)
 	}
 	years := make([]float64, 0, n)
@@ -121,16 +107,18 @@ func ProjectTrends(rp *dataset.Repository, targetYear int) (Projection, error) {
 		return Projection{}, fmt.Errorf("analysis: projection target %d must be after 2016", targetYear)
 	}
 	// Project from the post-dip era (2013-2016): the paper argues the
-	// 2013-14 dip is compositional, and the recovery is the signal.
+	// 2013-14 dip is compositional, and the recovery is the signal. All
+	// three inputs are memoized, so several target years share them.
 	rates, err := ImprovementRates(rp, [][2]int{{2013, 2016}})
 	if err != nil {
 		return Projection{}, err
 	}
-	trend, err := YearlyTrend(rp.YearRange(2016, 2016))
+	trend, err := YearlyTrend(rp)
 	if err != nil {
 		return Projection{}, err
 	}
-	if len(trend) == 0 {
+	at := slices.IndexFunc(trend, func(ys YearStats) bool { return ys.Year == 2016 })
+	if at < 0 {
 		return Projection{}, tooFew("analysis: no 2016 servers to project from")
 	}
 	reg, err := FitIdleRegression(rp)
@@ -138,7 +126,7 @@ func ProjectTrends(rp *dataset.Repository, targetYear int) (Projection, error) {
 		return Projection{}, err
 	}
 	years := float64(targetYear - 2016)
-	ep := trend[0].EP.Mean + rates[0].EPPerYear*years
+	ep := trend[at].EP.Mean + rates[0].EPPerYear*years
 	// EP cannot exceed the Eq. 2 asymptote (idle → 0).
 	if ep > reg.Fit.A {
 		ep = reg.Fit.A

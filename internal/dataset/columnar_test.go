@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/microarch"
 )
 
 // TestColumnWriterChunked drives the streaming v2 writer shard by
@@ -115,7 +114,7 @@ func TestConcurrentColdReads(t *testing.T) {
 	const goroutines = 8
 	alls := make([][]*dataset.Result, goroutines)
 	sorted := make([][]*dataset.Result, goroutines)
-	grouped := make([]map[microarch.Codename][]*dataset.Result, goroutines)
+	grouped := make([]*dataset.Groups, goroutines)
 	valid := make([]int, goroutines)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -129,7 +128,7 @@ func TestConcurrentColdReads(t *testing.T) {
 				}
 			},
 			func() { valid[g] = rp.Valid().Len() },
-			func() { grouped[g] = rp.ByCodename() },
+			func() { grouped[g] = rp.Columns().HWYearGroups() },
 		}
 		wg.Add(1)
 		go func() {
@@ -159,12 +158,8 @@ func TestConcurrentColdReads(t *testing.T) {
 				t.Fatalf("SortByEP returned a row All does not hold")
 			}
 		}
-		for _, group := range grouped[g] {
-			for _, r := range group {
-				if !rows[r] {
-					t.Fatalf("ByCodename returned a row All does not hold")
-				}
-			}
+		if grouped[g] != grouped[0] {
+			t.Fatalf("goroutine %d built its own year index", g)
 		}
 		if valid[g] != valid[0] {
 			t.Errorf("goroutine %d saw %d valid rows, goroutine 0 saw %d", g, valid[g], valid[0])

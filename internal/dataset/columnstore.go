@@ -59,7 +59,7 @@ type ColumnStore struct {
 	derived atomic.Pointer[derivedColumns]
 
 	// memo caches corpus-level analysis artifacts (yearly trends,
-	// sorted permutations, …) keyed by name; see Memoize.
+	// the year index, …) keyed by name; see Memoize.
 	memo sync.Map
 }
 
@@ -125,20 +125,18 @@ func (cs *ColumnStore) AllCurvesOK() bool { return cs.derivedCols().allCurvesOK 
 func (cs *ColumnStore) AllCompliant() bool { return cs.derivedCols().allCompliant }
 
 // Memoize returns the store-lifetime cached value under key, building
-// and publishing it on first use. The store is immutable, so any
-// deterministic function of its columns may be cached this way; report
-// sections that share an expensive aggregate (e.g. the per-year trend
-// statistics) compute it once per corpus instead of once per section.
-// Concurrent first calls may both run build (it must be deterministic
-// and side-effect free); one value wins the publish and is returned to
-// every caller, so all callers share one artifact — treat it as
-// read-only.
+// it on first use, so report sections that share an aggregate (e.g. the
+// per-year trend) compute it once per corpus. Each key builds once:
+// concurrent first callers wait for that build (a sync.OnceValue) and
+// share its value — treat it as read-only — and a build that panics
+// re-panics with its value in every caller. A build may memoize other
+// keys but must never reach its own, which would wait on itself.
 func (cs *ColumnStore) Memoize(key string, build func() any) any {
-	if v, ok := cs.memo.Load(key); ok {
-		return v
+	f, ok := cs.memo.Load(key)
+	if !ok {
+		f, _ = cs.memo.LoadOrStore(key, sync.OnceValue(build))
 	}
-	v, _ := cs.memo.LoadOrStore(key, build())
-	return v
+	return f.(func() any)()
 }
 
 // Result materializes row i as a standalone *Result with a fresh metric
@@ -232,6 +230,20 @@ func (cs *ColumnStore) Curve(i int) *core.Curve {
 func (cs *ColumnStore) CurveErr(i int) error {
 	if err := cs.checkCurve(i); err != nil {
 		return curveError(cs.ids[i], err)
+	}
+	return nil
+}
+
+// FirstCurveErr returns the first invalid row's curve error, the one a
+// curve-building row loop meets first, or nil when every curve is valid.
+func (cs *ColumnStore) FirstCurveErr() error {
+	if cs.AllCurvesOK() {
+		return nil
+	}
+	for i, ok := range cs.CurveOKCol() {
+		if !ok {
+			return cs.CurveErr(i)
+		}
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,11 +55,8 @@ func TestResultDerivedFields(t *testing.T) {
 	if got := r.MemoryPerCore(); got != 2 {
 		t.Errorf("MemoryPerCore = %v, want 2", got)
 	}
-	if got := r.ChipsPerNode(); got != 2 {
-		t.Errorf("ChipsPerNode = %d, want 2", got)
-	}
 	zero := &Result{}
-	if zero.MemoryPerCore() != 0 || zero.ChipsPerNode() != 0 {
+	if zero.MemoryPerCore() != 0 {
 		t.Error("zero-value result should not divide by zero")
 	}
 }
@@ -225,9 +224,6 @@ func TestRepositoryFilters(t *testing.T) {
 	if got := rp.SingleNode().Len(); got != 2 {
 		t.Errorf("SingleNode = %d, want 2", got)
 	}
-	if got := rp.MultiNode().Len(); got != 1 {
-		t.Errorf("MultiNode = %d, want 1", got)
-	}
 	if got := rp.YearRange(2012, 2012).Len(); got != 1 {
 		t.Errorf("YearRange = %d, want 1", got)
 	}
@@ -242,27 +238,74 @@ func TestRepositoryGroupings(t *testing.T) {
 	b.HWAvailYear = 2012
 	b.Codename = microarch.SandyBridgeEP
 	b.Chips = 4
-	rp := NewRepository([]*Result{a, b})
+	c := validResult("c")
+	rp := NewRepository([]*Result{a, b, c})
+	cs := rp.Columns()
 
-	byYear := rp.ByHWYear()
-	if len(byYear[2015]) != 1 || len(byYear[2012]) != 1 {
-		t.Errorf("ByHWYear = %v", byYear)
+	byYear := cs.HWYearGroups()
+	if !slices.Equal(byYear.Keys, []int{2012, 2015}) ||
+		!slices.Equal(byYear.At(0), []int32{1}) || !slices.Equal(byYear.At(1), []int32{0, 2}) {
+		t.Errorf("HWYearGroups = %+v", byYear)
 	}
-	byFam := rp.ByFamily()
-	if len(byFam[microarch.FamilyHaswell]) != 1 || len(byFam[microarch.FamilySandyBridge]) != 1 {
-		t.Errorf("ByFamily sizes wrong")
+	for _, c := range []struct {
+		from, to int
+		want     []int32
+	}{
+		{2013, 2016, []int32{0, 2}},
+		{math.MinInt, math.MaxInt, []int32{1, 0, 2}},
+		{2016, 2013, []int32{}},
+		{2013, 2014, []int32{}},
+	} {
+		if got := byYear.Span(c.from, c.to); !slices.Equal(got, c.want) {
+			t.Errorf("Span(%d, %d) = %v, want %v", c.from, c.to, got, c.want)
+		}
 	}
-	byCode := rp.ByCodename()
-	if len(byCode[microarch.Haswell]) != 1 {
-		t.Errorf("ByCodename sizes wrong")
+	if cs.HWYearGroups() != byYear {
+		t.Error("HWYearGroups rebuilt on a second call")
 	}
-	byChips := rp.ByChips()
-	if len(byChips[2]) != 1 || len(byChips[4]) != 1 {
-		t.Errorf("ByChips sizes wrong")
+	byCode := GroupRows(cs.CodenameCol())
+	if i := slices.Index(byCode.Keys, int(microarch.Haswell)); i < 0 || len(byCode.At(i)) != 2 {
+		t.Errorf("codename groups = %+v", byCode)
+	}
+	byChips := GroupRows(cs.ChipsCol())
+	if !slices.Equal(byChips.Keys, []int{2, 4}) || len(byChips.At(0)) != 2 || len(byChips.At(1)) != 1 {
+		t.Errorf("chip groups = %+v", byChips)
 	}
 	years := rp.HWYears()
 	if len(years) != 2 || years[0] != 2012 || years[1] != 2015 {
 		t.Errorf("HWYears = %v", years)
+	}
+}
+
+// TestGroupRowsMatchesMap checks both paths of GroupRows (the counting
+// sort over a narrow key range and the comparison sort over a wide one)
+// against a map that appends rows in store order.
+func TestGroupRowsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, spread := range []int32{1, 13, 300, 1 << 30} {
+		for _, n := range []int{0, 1, 2, 50, 1000} {
+			key := make([]int32, n)
+			for i := range key {
+				key[i] = int32(rng.Int63n(int64(spread))) - spread/2
+			}
+			want := make(map[int][]int32)
+			for i, k := range key {
+				want[int(k)] = append(want[int(k)], int32(i))
+			}
+			g := GroupRows(key)
+			if len(g.Keys) != len(want) || len(g.Off) != len(g.Keys)+1 || len(g.Rows) != n {
+				t.Fatalf("spread %d, n %d: %d keys, %d offsets, %d rows; want %d keys",
+					spread, n, len(g.Keys), len(g.Off), len(g.Rows), len(want))
+			}
+			for i, k := range g.Keys {
+				if i > 0 && k <= g.Keys[i-1] {
+					t.Fatalf("spread %d, n %d: keys not ascending: %v", spread, n, g.Keys)
+				}
+				if !slices.Equal(g.At(i), want[k]) {
+					t.Fatalf("spread %d, n %d: key %d rows %v, want %v", spread, n, k, g.At(i), want[k])
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -161,4 +162,77 @@ func TestSortByEPMatchesDirectSort(t *testing.T) {
 		t.Fatal("SortByEP must not reorder the repository itself")
 	}
 	var _ *core.Curve = sorted[0].MustCurve() // sorted results stay usable
+}
+
+// TestMemoizeBuildsOnce starts eight first callers of one key at once:
+// the build runs once, and every caller gets its value.
+func TestMemoizeBuildsOnce(t *testing.T) {
+	cs := BuildColumns([]*Result{memoResult("m", 60)})
+	const callers = 8
+	var builds atomic.Int32
+	var ready sync.WaitGroup
+	ready.Add(callers)
+	got := make([]any, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			got[g] = cs.Memoize("k", func() any {
+				builds.Add(1)
+				ready.Wait() // hold the build until every caller has arrived
+				return new(int)
+			})
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("build ran %d times, want 1", n)
+	}
+	for g := range got {
+		if got[g] == nil || got[g] != got[0] {
+			t.Fatalf("caller %d got %v, caller 0 got %v", g, got[g], got[0])
+		}
+	}
+}
+
+// TestMemoizePanicRepeats checks that a build that panics re-panics
+// with its value in every caller, concurrent or later, instead of
+// handing a later caller a nil value, and that it runs once.
+func TestMemoizePanicRepeats(t *testing.T) {
+	cs := BuildColumns([]*Result{memoResult("m", 60)})
+	var builds atomic.Int32
+	build := func() any {
+		builds.Add(1)
+		panic("memo build failed")
+	}
+	call := func() (v, recovered any) {
+		defer func() { recovered = recover() }()
+		return cs.Memoize("k", build), nil
+	}
+	const callers = 4
+	recovered := make([]any, callers+1)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, recovered[g] = call()
+		}()
+	}
+	wg.Wait()
+	v, last := call()
+	recovered[callers] = last
+	if v != nil {
+		t.Fatalf("a caller after the panic got %v", v)
+	}
+	for g, r := range recovered {
+		if r != "memo build failed" {
+			t.Fatalf("caller %d recovered %v, want the build's panic value", g, r)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("build ran %d times, want 1", n)
+	}
 }

@@ -2,18 +2,16 @@ package dataset
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
-
-	"repro/internal/microarch"
 )
 
 // Repository is an in-memory collection of results with the filtering
-// and grouping operations the analyses use. It is a read-only view over
-// one ColumnStore: metric accessors (EPs, OverallEEs, SortByEP, …) and
-// the internal analyses read struct-of-arrays columns, while All and
-// the grouping helpers return []*Result adapter views (see
-// ColumnStore.Result) that materialize on first row access.
+// operations the analyses use. It is a read-only view over one
+// ColumnStore: metric accessors (EPs, OverallEEs, SortByEP, …) and the
+// internal analyses read struct-of-arrays columns (grouped by
+// ColumnStore.HWYearGroups or GroupRows), while All returns []*Result
+// adapter views (see ColumnStore.Result) that materialize on first row
+// access.
 //
 // Concurrency contract: the store is immutable, and the row views are
 // published once with a compare-and-swap, so readers never block and
@@ -108,12 +106,6 @@ func (rp *Repository) SingleNode() *Repository {
 	return rp.filter(func(i int) bool { return nodes[i] == 1 })
 }
 
-// MultiNode returns only results with more than one node.
-func (rp *Repository) MultiNode() *Repository {
-	nodes := rp.cs.nodes
-	return rp.filter(func(i int) bool { return nodes[i] > 1 })
-}
-
 // YearRange returns results whose hardware availability year lies in
 // [from, to] inclusive.
 func (rp *Repository) YearRange(from, to int) *Repository {
@@ -132,67 +124,10 @@ func (rp *Repository) YearMismatched() *Repository {
 	return rp.filter(func(i int) bool { return pub[i] != hw[i] })
 }
 
-// ByHWYear groups results by hardware availability year.
-func (rp *Repository) ByHWYear() map[int][]*Result {
-	return rp.groupInt(func(r *Result) int { return r.HWAvailYear })
-}
-
-// ByNodes groups results by total node count.
-func (rp *Repository) ByNodes() map[int][]*Result {
-	return rp.groupInt(func(r *Result) int { return r.Nodes })
-}
-
-// ByChips groups results by total chip count.
-func (rp *Repository) ByChips() map[int][]*Result {
-	return rp.groupInt(func(r *Result) int { return r.Chips })
-}
-
-func (rp *Repository) groupInt(key func(*Result) int) map[int][]*Result {
-	out := make(map[int][]*Result)
-	for _, r := range rp.resultsSlice() {
-		k := key(r)
-		out[k] = append(out[k], r)
-	}
-	return out
-}
-
-// ByFamily groups results by microarchitecture family (Fig. 6).
-func (rp *Repository) ByFamily() map[microarch.Family][]*Result {
-	out := make(map[microarch.Family][]*Result)
-	for _, r := range rp.resultsSlice() {
-		f := r.Codename.Family()
-		out[f] = append(out[f], r)
-	}
-	return out
-}
-
-// ByCodename groups results by processor codename (Fig. 7).
-func (rp *Repository) ByCodename() map[microarch.Codename][]*Result {
-	out := make(map[microarch.Codename][]*Result)
-	for _, r := range rp.resultsSlice() {
-		out[r.Codename] = append(out[r.Codename], r)
-	}
-	return out
-}
-
 // HWYears returns the distinct hardware availability years in ascending
 // order.
 func (rp *Repository) HWYears() []int {
-	years := distinctInt32(rp.cs.hwYears)
-	sort.Ints(years)
-	return years
-}
-
-func distinctInt32(col []int32) []int {
-	seen := make(map[int]bool)
-	for _, v := range col {
-		seen[int(v)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	return out
+	return append([]int(nil), rp.cs.HWYearGroups().Keys...)
 }
 
 // EPs returns the energy proportionality of every result, in repository
@@ -214,12 +149,6 @@ func (rp *Repository) PeakEEs() []float64 {
 	return copyColumn(rp.cs.PeakEECol())
 }
 
-// PeakEEUtilizations returns, for every result in repository order, the
-// lowest utilization at which its peak efficiency occurs.
-func (rp *Repository) PeakEEUtilizations() []float64 {
-	return copyColumn(rp.cs.PeakEEUtilCol())
-}
-
 // IdleFractions returns every result's idle-to-peak power ratio, in
 // repository order.
 func (rp *Repository) IdleFractions() []float64 {
@@ -230,12 +159,6 @@ func (rp *Repository) IdleFractions() []float64 {
 // repository order.
 func (rp *Repository) DynamicRanges() []float64 {
 	return copyColumn(rp.cs.DynamicRangeCol())
-}
-
-// PeakOverFullRatios returns every result's peak-over-full-load
-// efficiency ratio, in repository order.
-func (rp *Repository) PeakOverFullRatios() []float64 {
-	return copyColumn(rp.cs.PeakOverFullCol())
 }
 
 // SortByEP returns the results sorted by ascending EP (stable, copy).

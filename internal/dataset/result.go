@@ -175,14 +175,6 @@ func (r *Result) MemoryPerCore() float64 {
 	return r.MemoryGB / float64(cores)
 }
 
-// ChipsPerNode returns populated sockets per node.
-func (r *Result) ChipsPerNode() int {
-	if r.Nodes == 0 {
-		return 0
-	}
-	return r.Chips / r.Nodes
-}
-
 // buildCurve assembles the result's points into a validated core.Curve
 // without touching the cache.
 func (r *Result) buildCurve() (*core.Curve, error) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/synth"
 )
 
@@ -49,11 +50,17 @@ func TestFitServerRejectsMultiNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := rp.Valid().MultiNode().All()
-	if len(multi) == 0 {
+	var multi *dataset.Result
+	for _, r := range rp.Valid().All() {
+		if r.Nodes > 1 {
+			multi = r
+			break
+		}
+	}
+	if multi == nil {
 		t.Fatal("no multi-node servers")
 	}
-	if _, err := FitServer(multi[0]); err == nil {
+	if _, err := FitServer(multi); err == nil {
 		t.Error("multi-node result accepted")
 	}
 }

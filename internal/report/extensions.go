@@ -91,7 +91,7 @@ func FigE3QuadratureAblation(rp *dataset.Repository) (string, error) {
 			maxDiff, maxID = abs, ids[i]
 		}
 	}
-	sum, err := stats.Describe(diffs)
+	sum, err := stats.DescribeInPlace(diffs)
 	if err != nil {
 		return "", err
 	}
@@ -179,22 +179,20 @@ func FigE7KnightShift(rp *dataset.Repository) (string, error) {
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "primary (year)\tprimary EP\t+knight (idle primary)\t+knight (primary off)")
 	cs := rp.Columns()
-	hwYears := cs.HWYearCol()
+	years := cs.HWYearGroups()
 	for _, year := range []int{2009, 2012, 2016} {
-		// Only the first server of the year is plotted; scan the year
-		// column and materialize just that row.
-		first := -1
-		for i, y := range hwYears {
-			if int(y) == year {
-				first = i
-				break
-			}
-		}
-		if first < 0 {
+		// Only the first server of the year is plotted; only that row
+		// materializes.
+		rows := years.Span(year, year)
+		if len(rows) == 0 {
 			continue
 		}
-		r := cs.Result(first)
-		primary, err := placement.NewProfile(r.ID, r.MustCurve())
+		r := cs.Result(int(rows[0]))
+		c, err := r.Curve()
+		if err != nil {
+			return "", err
+		}
+		primary, err := placement.NewProfile(r.ID, c)
 		if err != nil {
 			return "", err
 		}

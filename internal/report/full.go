@@ -115,20 +115,16 @@ func recentFleet(rp *dataset.Repository, n int) []*placement.Profile {
 
 // findSample locates the Fig. 1 sample server: the 2016 row whose
 // overall score is nearest the paper's 12212 (EP 1.02), found by scanning
-// the year and EE columns and materializing only the winner. It returns
+// the EE column over the 2016 rows and materializing only the winner. It returns
 // nil when the corpus has no 2016 server.
 func findSample(rp *dataset.Repository) *dataset.Result {
 	cs := rp.Columns()
-	hwYears := cs.HWYearCol()
 	ees := cs.OverallEECol()
 	best := -1
 	bestGap := 1e18
-	for i, y := range hwYears {
-		if y != 2016 {
-			continue
-		}
-		if gap := math.Abs(ees[i] - 12212); gap < bestGap {
-			best, bestGap = i, gap
+	for _, r := range cs.HWYearGroups().Span(2016, 2016) {
+		if gap := math.Abs(ees[r] - 12212); gap < bestGap {
+			best, bestGap = int(r), gap
 		}
 	}
 	if best < 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
@@ -571,5 +572,68 @@ func TestHardwareExperimentsSharedSweep(t *testing.T) {
 		if !strings.Contains(out, fig) {
 			t.Errorf("hardware experiments missing %s", fig)
 		}
+	}
+}
+
+// TestFullReportsCurveError: over a corpus that still holds a
+// curve-invalid row (the synthetic corpus before Valid), the report
+// returns the first such row's error, from Full and from each section
+// that reads curves, instead of panicking in the envelope sections.
+func TestFullReportsCurveError(t *testing.T) {
+	rs, err := synth.Generate(synth.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := dataset.NewRepository(rs)
+	const want = "dataset: result power_ssj2008-0478: core: power must be positive at every level: point 4"
+	if _, err := Full(rp, Options{}); err == nil || err.Error() != want {
+		t.Errorf("Full: error %v, want %q", err, want)
+	}
+	for _, id := range []string{"9", "10", "11", "12"} {
+		if _, err := Figure(rp, id); err == nil || err.Error() != want {
+			t.Errorf("Figure %s: error %v, want %q", id, err, want)
+		}
+	}
+}
+
+// TestColdRenderConcurrent renders the full report and the JSON summary
+// at once on a fresh fleet store, so the first builds of their shared
+// memoized aggregates race (run it under -race). Both return only if no
+// build waits on its own memo key, and both match a serial render.
+func TestColdRenderConcurrent(t *testing.T) {
+	want, err := Full(surfaceFleet(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := MarshalJSONSummary(surfaceFleet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := surfaceFleet(t)
+	var text string
+	var js []byte
+	errs := make(chan error, 2)
+	go func() {
+		var err error
+		text, err = Full(rp, Options{})
+		errs <- err
+	}()
+	go func() {
+		var err error
+		js, err = MarshalJSONSummary(rp)
+		errs <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("a cold render waited a minute: a memo build waits on its own key")
+		}
+	}
+	if text != want || string(js) != string(wantJSON) {
+		t.Error("concurrent cold renders differ from serial ones")
 	}
 }

@@ -60,6 +60,17 @@ func newRenderCtx(rp *dataset.Repository, opts Options) *renderCtx {
 	return c
 }
 
+// allCurves wraps a render that reads any row's curve (the envelopes
+// read every row's): a curve-invalid row's error replaces the panic.
+func allCurves(render func(c *renderCtx) (chartForm, string, error)) func(c *renderCtx) (chartForm, string, error) {
+	return func(c *renderCtx) (chartForm, string, error) {
+		if err := c.rp.Columns().FirstCurveErr(); err != nil {
+			return nil, "", err
+		}
+		return render(c)
+	}
+}
+
 // sweepPanel renders one of the Fig. 18-20 panels from Table II server i.
 func (c *renderCtx) sweepPanel(i int, title string) (chartForm, string, error) {
 	pts, err := c.sweeps[i]()
@@ -116,20 +127,20 @@ var sections = []section{
 	{"8", "fig8", "Fig. 8 — Microarchitecture mix 2012-2016", true, true, func(c *renderCtx) (chartForm, string, error) {
 		return fig8Stack(c.rp), "", nil
 	}},
-	{"9", "fig9", "Fig. 9 — Pencil-head chart (EP envelope)", true, true, func(c *renderCtx) (chartForm, string, error) {
+	{"9", "fig9", "Fig. 9 — Pencil-head chart (EP envelope)", true, true, allCurves(func(c *renderCtx) (chartForm, string, error) {
 		return fig9Chart(c.rp), "", nil
-	}},
-	{"10", "fig10", "Fig. 10 — Selected EP curves", true, true, func(c *renderCtx) (chartForm, string, error) {
+	})},
+	{"10", "fig10", "Fig. 10 — Selected EP curves", true, true, allCurves(func(c *renderCtx) (chartForm, string, error) {
 		reps := c.reps()
 		return fig10Chart(reps), fig10Table(reps), nil
-	}},
-	{"11", "fig11", "Fig. 11 — Almond chart (EE envelope)", true, true, func(c *renderCtx) (chartForm, string, error) {
+	})},
+	{"11", "fig11", "Fig. 11 — Almond chart (EE envelope)", true, true, allCurves(func(c *renderCtx) (chartForm, string, error) {
 		return fig11Chart(c.rp), "", nil
-	}},
-	{"12", "fig12", "Fig. 12 — Selected EE curves", true, true, func(c *renderCtx) (chartForm, string, error) {
+	})},
+	{"12", "fig12", "Fig. 12 — Selected EE curves", true, true, allCurves(func(c *renderCtx) (chartForm, string, error) {
 		reps := c.reps()
 		return fig12Chart(reps), fig12Table(reps), nil
-	}},
+	})},
 	{"13", "fig13", "Fig. 13 — Economies of scale by node count", false, true, func(c *renderCtx) (chartForm, string, error) {
 		return nil, Fig13Nodes(c.rp), nil
 	}},

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Pearson returns the Pearson product-moment correlation coefficient of
 // the paired samples (xs[i], ys[i]). It returns ErrLengthMismatch when
@@ -29,62 +26,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		syy += dy * dy
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns Spearman's rank correlation coefficient of the paired
-// samples, i.e. the Pearson correlation of their fractional ranks. Ties
-// receive the average of the ranks they span, so the coefficient is exact
-// in the presence of ties.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmptySample
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based fractional ranks of xs, assigning tied values
-// the mean of the ranks they occupy. The input is not modified.
-func Ranks(xs []float64) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-
-	ranks := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i + 1
-		for j < len(idx) && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		// Elements idx[i:j] are tied; they span ranks i+1..j.
-		avg := float64(i+1+j) / 2
-		for k := i; k < j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j
-	}
-	return ranks
-}
-
-// Covariance returns the unbiased (n-1) sample covariance of the paired
-// samples.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmptySample
-	}
-	n := float64(len(xs))
-	mx := Sum(xs) / n
-	my := Sum(ys) / n
-	var sxy float64
-	for i := range xs {
-		sxy += (xs[i] - mx) * (ys[i] - my)
-	}
-	return sxy / (n - 1), nil
 }

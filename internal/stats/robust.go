@@ -66,23 +66,7 @@ func TheilSen(xs, ys []float64) (TheilSenFit, error) {
 		slopes = make([]float64, 0, want)
 	}
 	if n > theilSenExactLimit {
-		rng := uint64(0x9E3779B97F4A7C15)
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-		for k := 0; k < theilSenSamplePairs; k++ {
-			i := int(next() % uint64(n))
-			j := int(next() % uint64(n))
-			if i == j {
-				continue
-			}
-			if dx := xs[j] - xs[i]; dx != 0 {
-				slopes = append(slopes, (ys[j]-ys[i])/dx)
-			}
-		}
+		slopes = sampledSlopes(xs, ys, slopes[:want])
 	} else {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -92,20 +76,56 @@ func TheilSen(xs, ys []float64) (TheilSenFit, error) {
 			}
 		}
 	}
-	*buf = slopes
 	if len(slopes) == 0 {
+		*buf = slopes
 		return TheilSenFit{}, errors.New("stats: degenerate regressor (zero variance)")
 	}
 	slope := medianInPlace(slopes)
-	residuals := make([]float64, len(xs))
+	residuals := slopes[:0] // the spent slopes' buffer
 	for i := range xs {
-		residuals[i] = ys[i] - slope*xs[i]
+		residuals = append(residuals, ys[i]-slope*xs[i])
 	}
-	intercept, err := Median(residuals)
+	*buf = residuals
+	intercept, err := MedianInPlace(residuals)
 	if err != nil {
 		return TheilSenFit{}, err
 	}
 	return TheilSenFit{Slope: slope, Intercept: intercept, N: len(xs)}, nil
+}
+
+// sampledSlopes fills slopes (theilSenSamplePairs long) with the slopes
+// of a fixed xorshift sample of point pairs, less pairs that repeat a
+// point or share x, and returns the filled prefix. A draw r reduces mod
+// n without a division: for m = ⌊(2⁶⁴−1)/n⌋, r − ⌊r·m/2⁶⁴⌋·n lies in
+// [0, 2n), and one borrow-selected subtraction ends it. Every slope is
+// written and only a kept one advances k, so no branch reads the data.
+func sampledSlopes(xs, ys, slopes []float64) []float64 {
+	n := uint64(len(xs))
+	m := math.MaxUint64 / n
+	rng := uint64(0x9E3779B97F4A7C15)
+	k := 0
+	for range slopes {
+		a := rng ^ rng<<13
+		a ^= a >> 7
+		a ^= a << 17
+		b := a ^ a<<13
+		b ^= b >> 7
+		b ^= b << 17
+		rng = b
+		qa, _ := bits.Mul64(a, m)
+		qb, _ := bits.Mul64(b, m)
+		i, borrowI := bits.Sub64(a-qa*n, n, 0)
+		j, borrowJ := bits.Sub64(b-qb*n, n, 0)
+		i += n & -borrowI
+		j += n & -borrowJ
+		dx := xs[j] - xs[i]
+		slopes[k] = (ys[j] - ys[i]) / dx
+		// Keep when i ≠ j and dx ≠ ±0 (NaN is kept): x|-x has bit 63 iff x ≠ 0.
+		same := i ^ j
+		zero := math.Float64bits(dx) << 1
+		k += int(((same | -same) & (zero | -zero)) >> 63)
+	}
+	return slopes[:k]
 }
 
 // slopeBufs recycles TheilSen's slope buffers. Fits come in runs (an

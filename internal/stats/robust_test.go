@@ -240,6 +240,83 @@ func TestTheilSenConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// modLoopSlopes is the sampled-pair loop TheilSen ran before
+// sampledSlopes, verbatim: a 64-bit % per draw, and an append per kept
+// pair behind two data-dependent branches.
+func modLoopSlopes(xs, ys []float64) []float64 {
+	n := len(xs)
+	var slopes []float64
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for k := 0; k < theilSenSamplePairs; k++ {
+		i := int(next() % uint64(n))
+		j := int(next() % uint64(n))
+		if i == j {
+			continue
+		}
+		if dx := xs[j] - xs[i]; dx != 0 {
+			slopes = append(slopes, (ys[j]-ys[i])/dx)
+		}
+	}
+	return slopes
+}
+
+// TestSampledSlopesMatchModLoop pins sampledSlopes, the division-free
+// and branch-free pair loop, to the loop it replaced: the same slopes,
+// bit for bit and in the same order, and so the same fit. The sizes are
+// the first sampled one and the three era sizes of a seed-1 100k fleet;
+// the responses carry tied years, NaN, ±0 and ±Inf, and one regressor
+// holds +Inf, where only the i ≠ j test drops a point paired with
+// itself (its dx is NaN, not 0).
+func TestSampledSlopesMatchModLoop(t *testing.T) {
+	sizes := []int{theilSenExactLimit + 1, 23_362, 50_935, 74_748}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	rng := rand.New(rand.NewSource(27))
+	buf := make([]float64, theilSenSamplePairs)
+	for _, n := range sizes {
+		for _, shape := range []string{"years", "quantized", "signed-zero", "nan", "inf", "inf-x"} {
+			name := fmt.Sprintf("%s/n=%d", shape, n)
+			var xs, ys []float64
+			switch shape {
+			case "signed-zero":
+				xs, ys = theilSenCase(rng, "years", n)
+				for i := range ys {
+					switch rng.Intn(4) {
+					case 0:
+						ys[i] = 0
+					case 1:
+						ys[i] = math.Copysign(0, -1)
+					}
+				}
+			case "inf-x":
+				xs, ys = theilSenCase(rng, "years", n)
+				xs[rng.Intn(n)] = math.Inf(1)
+			default:
+				xs, ys = theilSenCase(rng, shape, n)
+			}
+			want := modLoopSlopes(xs, ys)
+			got := sampledSlopes(xs, ys, buf)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d slopes, reference loop %d", name, len(got), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s: slope %d is %v (%#x), reference loop %v (%#x)", name, k,
+						got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+				}
+			}
+			checkTheilSenMatchesRef(t, name, xs, ys)
+		}
+	}
+}
+
 // FuzzTheilSen requires TheilSen to agree bit for bit with the
 // full-sort oracle on arbitrary inputs, or both to fail. Each point
 // takes 9 bytes: x from the first (16 levels, so ties are common) and

@@ -4,7 +4,8 @@
 // exponential) with goodness-of-fit measures.
 //
 // The package is self-contained (stdlib only) and treats its inputs as
-// read-only: no function mutates a caller-provided slice.
+// read-only: no function mutates a caller-provided slice, except those
+// named for it (SelectNth and the *InPlace functions).
 package stats
 
 import (
@@ -108,10 +109,15 @@ func StdDev(xs []float64) (float64, error) {
 // sorting it (middleInPlace) and combines them with quantileSorted's
 // interpolation.
 func Median(xs []float64) (float64, error) {
+	return MedianInPlace(append([]float64(nil), xs...))
+}
+
+// MedianInPlace is Median on a sample it may reorder.
+func MedianInPlace(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmptySample
 	}
-	lower, upper := middleInPlace(append([]float64(nil), xs...))
+	lower, upper := middleInPlace(xs)
 	if len(xs)%2 == 1 {
 		return upper, nil
 	}
@@ -169,24 +175,28 @@ type Summary struct {
 
 // Describe computes the Summary of xs.
 func Describe(xs []float64) (Summary, error) {
+	return DescribeInPlace(append([]float64(nil), xs...))
+}
+
+// DescribeInPlace is Describe on a sample it sorts in place.
+func DescribeInPlace(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmptySample
 	}
-	sorted := append([]float64(nil), xs...)
-	sortFloat64s(sorted)
+	sortFloat64s(xs)
 	q := func(p float64) float64 {
-		v, _ := quantileSorted(sorted, p)
+		v, _ := quantileSorted(xs, p)
 		return v
 	}
-	mean := Sum(sorted) / float64(len(sorted))
-	sd, _ := StdDev(sorted)
+	mean := Sum(xs) / float64(len(xs))
+	sd, _ := StdDev(xs)
 	return Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
+		N:      len(xs),
+		Min:    xs[0],
 		Q1:     q(0.25),
 		Median: q(0.5),
 		Q3:     q(0.75),
-		Max:    sorted[len(sorted)-1],
+		Max:    xs[len(xs)-1],
 		Mean:   mean,
 		StdDev: sd,
 	}, nil

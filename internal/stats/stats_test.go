@@ -197,42 +197,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly monotone relation gives Spearman exactly 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125}
-	r, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", r)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	ranks := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if ranks[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", ranks, want)
-		}
-	}
-}
-
-func TestCovariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	c, err := Covariance(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vx, _ := Variance(xs)
-	if !almostEqual(c, 2*vx, 1e-12) {
-		t.Errorf("Covariance = %v, want %v", c, 2*vx)
-	}
-}
-
 func TestLinearRegressionExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x

@@ -97,7 +97,7 @@ func TestInvariantsAcrossSeeds(t *testing.T) {
 				t.Errorf("seed %d: %.1f%% of the top-EP decile from 2012, want over %.0f%%",
 					seed, 100*share, 100*tol.TopDecile2012Min)
 			}
-			byYear := valid.ByHWYear()
+			byYear := groupBy(valid, hwYear)
 			mean2012 := stats.MustMean(dataset.NewRepository(byYear[2012]).EPs())
 			mean2008 := stats.MustMean(dataset.NewRepository(byYear[2008]).EPs())
 			if !(mean2012 > 0.75 && mean2012 < 0.90 && mean2008 > 0.28 && mean2008 < 0.46) {

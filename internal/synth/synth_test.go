@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/microarch"
 	"repro/internal/stats"
 	"repro/internal/verify/tol"
 )
@@ -44,7 +45,7 @@ func TestCorpusCounts(t *testing.T) {
 }
 
 func TestYearPlanExact(t *testing.T) {
-	byYear := corpus(t, 1).Valid().ByHWYear()
+	byYear := groupBy(corpus(t, 1).Valid(), hwYear)
 	for year, want := range yearPlan {
 		if got := len(byYear[year]); got != want {
 			t.Errorf("year %d: %d servers, want %d", year, got, want)
@@ -88,7 +89,7 @@ func TestDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestEPYearTrend(t *testing.T) {
-	byYear := corpus(t, 1).Valid().ByHWYear()
+	byYear := groupBy(corpus(t, 1).Valid(), hwYear)
 	mean := func(year int) float64 {
 		g := dataset.NewRepository(byYear[year])
 		return stats.MustMean(g.EPs())
@@ -152,7 +153,7 @@ func TestEPExtremes(t *testing.T) {
 		t.Errorf("%d servers with EP ≥ 1.0, want exactly 2", atLeastOne)
 	}
 	// 2016 floor (§III.A): minimum EP 0.73.
-	for _, r := range corpus(t, 1).Valid().ByHWYear()[2016] {
+	for _, r := range groupBy(corpus(t, 1).Valid(), hwYear)[2016] {
 		if r.EP() < 0.73-1e-9 {
 			t.Errorf("2016 server %s EP %.3f below the 0.73 floor", r.ID, r.EP())
 		}
@@ -283,7 +284,7 @@ func TestPeakSpotBeforeAndAfter2013(t *testing.T) {
 		t.Errorf("pre-2010: %d of %d spots at 100%%", countP[1.0], totalP)
 	}
 	// 2016 (§IV.A): 3 @100, 10 @80, 5 @70.
-	c16, _ := peakSpots(t, dataset.NewRepository(valid.ByHWYear()[2016]).All())
+	c16, _ := peakSpots(t, dataset.NewRepository(groupBy(valid, hwYear)[2016]).All())
 	if c16[1.0] < 2 || c16[1.0] > 5 || c16[0.8] < 8 || c16[0.8] > 12 || c16[0.7] < 3 || c16[0.7] > 7 {
 		t.Errorf("2016 spots = %v, want ≈ 3 @100 / 10 @80 / 5 @70", c16)
 	}
@@ -322,7 +323,7 @@ func TestTop10PercentAsymmetry(t *testing.T) {
 		}
 	}
 	// All 2015/2016 servers are in the top EE decile.
-	want1516 := len(valid.ByHWYear()[2015]) + len(valid.ByHWYear()[2016])
+	want1516 := len(groupBy(valid, hwYear)[2015]) + len(groupBy(valid, hwYear)[2016])
 	if ee1516 != want1516 {
 		t.Errorf("2015+2016 servers in top-EE decile = %d, want all %d", ee1516, want1516)
 	}
@@ -338,7 +339,7 @@ func TestTop10PercentAsymmetry(t *testing.T) {
 
 func TestPopulationPlans(t *testing.T) {
 	valid := corpus(t, 1).Valid()
-	byNodes := valid.ByNodes()
+	byNodes := groupBy(valid, func(r *dataset.Result) int { return r.Nodes })
 	wantNodes := map[int]int{1: 403, 2: 38, 4: 20, 8: 6, 16: 10}
 	for nodes, want := range wantNodes {
 		if got := len(byNodes[nodes]); got != want {
@@ -346,14 +347,14 @@ func TestPopulationPlans(t *testing.T) {
 		}
 	}
 	single := valid.SingleNode()
-	byChips := single.ByChips()
+	byChips := groupBy(single, func(r *dataset.Result) int { return r.Chips })
 	for _, row := range singleNodeChipPlan {
 		if got := len(byChips[row.Chips]); got != row.Count {
 			t.Errorf("single-node chips=%d: %d servers, want %d", row.Chips, got, row.Count)
 		}
 	}
-	for _, r := range valid.MultiNode().All() {
-		if r.FormFactor != dataset.FormMultiNode {
+	for _, r := range valid.All() {
+		if r.Nodes > 1 && r.FormFactor != dataset.FormMultiNode {
 			t.Errorf("%s: multi-node result with form factor %v", r.ID, r.FormFactor)
 		}
 	}
@@ -407,7 +408,7 @@ func TestMPCBucketCouplings(t *testing.T) {
 
 func TestEconomiesOfScale(t *testing.T) {
 	valid := corpus(t, 1).Valid()
-	byNodes := valid.ByNodes()
+	byNodes := groupBy(valid, func(r *dataset.Result) int { return r.Nodes })
 	medEP := func(nodes int) float64 {
 		g := dataset.NewRepository(byNodes[nodes])
 		m, err := stats.Median(g.EPs())
@@ -429,7 +430,7 @@ func TestEconomiesOfScale(t *testing.T) {
 	}
 	// Fig. 14: among single-node servers, 2 chips lead on mean EP and
 	// EE; 4 and 8 chips fall off.
-	byChips := valid.SingleNode().ByChips()
+	byChips := groupBy(valid.SingleNode(), func(r *dataset.Result) int { return r.Chips })
 	meanEP := func(chips int) float64 {
 		return stats.MustMean(dataset.NewRepository(byChips[chips]).EPs())
 	}
@@ -522,7 +523,7 @@ func TestTieServer(t *testing.T) {
 func TestTowerOutlier(t *testing.T) {
 	valid := corpus(t, 1).Valid()
 	var tower *dataset.Result
-	for _, r := range valid.ByHWYear()[2014] {
+	for _, r := range groupBy(valid, hwYear)[2014] {
 		if r.CPUModel == "Intel Core i5-4570" {
 			tower = r
 			break
@@ -541,7 +542,7 @@ func TestTowerOutlier(t *testing.T) {
 		t.Errorf("outlier score = %.0f, want ≈ 1469", tower.OverallEE())
 	}
 	// It drags the 2014 minima below 2013's (Fig. 3/4).
-	ee2013 := dataset.NewRepository(valid.ByHWYear()[2013]).OverallEEs()
+	ee2013 := dataset.NewRepository(groupBy(valid, hwYear)[2013]).OverallEEs()
 	min2013, _ := stats.Min(ee2013)
 	if tower.OverallEE() >= min2013 {
 		t.Errorf("outlier EE %.0f should undercut 2013's minimum %.0f", tower.OverallEE(), min2013)
@@ -618,7 +619,7 @@ func TestCodenameEPOrdering(t *testing.T) {
 	// laggard of its family.
 	valid := corpus(t, 1).Valid()
 	mean := make(map[string]float64)
-	for code, rs := range valid.ByCodename() {
+	for code, rs := range groupBy(valid, func(r *dataset.Result) microarch.Codename { return r.Codename }) {
 		mean[code.String()] = stats.MustMean(dataset.NewRepository(rs).EPs())
 	}
 	if !(mean["Sandy Bridge EN"] > mean["Sandy Bridge EP"]) {
@@ -641,7 +642,7 @@ func TestCodenameEPOrdering(t *testing.T) {
 func TestEEYearGrowthMonotone(t *testing.T) {
 	// Fig. 4: mean/median/max EE grow with the years (only minima dip,
 	// in 2014). Check the mean across the well-populated years.
-	byYear := corpus(t, 1).Valid().ByHWYear()
+	byYear := groupBy(corpus(t, 1).Valid(), hwYear)
 	years := []int{2007, 2008, 2009, 2010, 2011, 2012, 2013, 2015, 2016}
 	prev := 0.0
 	for _, y := range years {
@@ -671,3 +672,15 @@ func TestCurveFamilyInvariants(t *testing.T) {
 		}
 	}
 }
+
+// groupBy groups the repository's row views by key, each group in
+// repository order.
+func groupBy[K comparable](rp *dataset.Repository, key func(*dataset.Result) K) map[K][]*dataset.Result {
+	out := make(map[K][]*dataset.Result)
+	for _, r := range rp.All() {
+		out[key(r)] = append(out[key(r)], r)
+	}
+	return out
+}
+
+func hwYear(r *dataset.Result) int { return r.HWAvailYear }
