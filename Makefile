@@ -38,8 +38,10 @@ fleetbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchtime 1x .
 
 # Columnar-core smoke: one iteration of the 10k/100k generate, EPFB v2
-# load, and full-report benchmarks. The 1M variants are
-# excluded to keep the CI run short; run them by hand with
+# load, derive and full-report benchmarks, the report both warm
+# (ColumnarReport100k reuses its store) and cold (ColumnarReportCold100k
+# renders a freshly decoded store, as fleet-batch does). The 1M
+# variants are excluded to keep the CI run short; run them by hand with
 # `go test -bench 'BenchmarkColumnar.*1M' -benchtime 2x .`
 # when refreshing BENCH_columnar.json.
 colbench:

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -240,12 +241,7 @@ func (cs *ColumnStore) FirstCurveErr() error {
 	if cs.AllCurvesOK() {
 		return nil
 	}
-	for i, ok := range cs.CurveOKCol() {
-		if !ok {
-			return cs.CurveErr(i)
-		}
-	}
-	return nil
+	return cs.CurveErr(slices.Index(cs.CurveOKCol(), false))
 }
 
 // ColumnBuilder accumulates results into a ColumnStore row by row.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -23,11 +24,15 @@ type Options struct {
 	Seed int64
 }
 
-// renderAll renders the sections keep selects, in table order, across
-// the internal/par worker pool, and joins the form of each. A section the
-// corpus cannot supply is left out. Sections are independent (repository
-// reads are lock-free and cached, shared inputs are computed once per
-// render, sweep cells derive per-cell seeds), so the output is
+// renderAll renders the sections keep selects across the internal/par
+// worker pool and joins the form of each in table order; the first
+// failing section in table order gives the error, and a section the
+// corpus cannot supply is left out. Workers take sections from the end
+// of the table, where the extensions and the sweeps do the longest work
+// (the era fits, the Eq. 2 fit, the simulations), so it starts first and
+// the short figure sections fill in behind it. Sections are independent
+// (repository reads are lock-free and cached, shared inputs are computed
+// once per render, sweep cells derive per-cell seeds), so the output is
 // byte-identical at any worker count — the same contract the corpus
 // analyses established in internal/par.
 func renderAll(rp *dataset.Repository, opts Options, keep func(*section) bool,
@@ -39,18 +44,18 @@ func renderAll(rp *dataset.Repository, opts Options, keep func(*section) bool,
 		}
 	}
 	c := newRenderCtx(rp, opts)
-	parts, err := par.MapErr(len(secs), func(i int) (string, error) {
+	parts, errs := make([]string, len(secs)), make([]error, len(secs))
+	par.ForEach(len(secs), func(k int) {
+		i := len(secs) - 1 - k
 		ch, table, err := secs[i].render(c)
-		var absent absentError
-		if errors.As(err, &absent) {
-			return "", nil
+		if errors.As(err, new(absentError)) {
+			return
 		}
-		if err != nil {
-			return "", err
+		if errs[i] = err; err == nil {
+			parts[i] = form(secs[i], ch, table)
 		}
-		return form(secs[i], ch, table), nil
 	})
-	if err != nil {
+	if err := cmp.Or(errs...); err != nil {
 		return "", err
 	}
 	return strings.Join(parts, ""), nil

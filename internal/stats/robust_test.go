@@ -24,23 +24,7 @@ func theilSenSortRef(xs, ys []float64) (TheilSenFit, error) {
 	}
 	var slopes []float64
 	if n := len(xs); n > theilSenExactLimit {
-		rng := uint64(0x9E3779B97F4A7C15)
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-		for k := 0; k < theilSenSamplePairs; k++ {
-			i := int(next() % uint64(n))
-			j := int(next() % uint64(n))
-			if i == j {
-				continue
-			}
-			if dx := xs[j] - xs[i]; dx != 0 {
-				slopes = append(slopes, (ys[j]-ys[i])/dx)
-			}
-		}
+		slopes = modLoopSlopes(xs, ys)
 	} else {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
